@@ -11,6 +11,7 @@ Grammar (EBNF):
 Identifiers are the declared variable names plus sin, cos, exp, log, sqrt.
 '^' requires a literal numeric exponent (possibly negative, possibly
 non-integer) and binds tighter than unary minus, so "-x^2" is -(x^2).
+Expressions nest at most MAX_DEPTH levels.
 
 The same AST evaluates over plain numbers (or numpy arrays), univariate jets
 and multivariate jets; see `eval_scalar`, `eval_jet1`, `eval_jetn`.
@@ -25,7 +26,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import EvalDomainError, ExprSyntaxError
-from .jets import Jet1, JetN, jetn_from_values
+from .jets import Jet1, JetN, jetn_partials
 
 # ---------------------------------------------------------------------------
 # AST
@@ -74,14 +75,39 @@ _NUMBER_RE = re.compile(r"\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+")
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
 
+# Nesting cap, counting every operator, function call and parenthesised
+# group as one level. Parsing spends up to six Python frames per level and
+# evaluation, printing and jets one, so a capped expression stays well
+# inside the interpreter's default recursion limit of 1000.
+MAX_DEPTH = 100
+
+
 class _Parser:
+    """Recursive descent; each rule returns (node, depth), where depth counts
+    the nesting levels of the source text the node spans."""
+
     def __init__(self, src: str, names: Sequence[str]):
         self.src = src
         self.pos = 0
         self.names = {name: i for i, name in enumerate(names)}
+        self.open = 0  # levels entered and not yet closed
 
     def fail(self, message: str, offset: int | None = None):
         raise ExprSyntaxError(message, self.pos if offset is None else offset)
+
+    def level(self, depth: int, at: int) -> int:
+        """`depth` checked against the cap; the error points at `at`."""
+        if depth > MAX_DEPTH:
+            self.fail(f"expression nested deeper than {MAX_DEPTH} levels", at)
+        return depth
+
+    def nested(self, rule, at: int) -> tuple[ExprAst, int]:
+        """Run `rule` one level down; refuses to descend past the cap before
+        the recursion can run out of stack."""
+        self.open = self.level(self.open + 1, at)
+        node, depth = rule()
+        self.open -= 1
+        return node, self.level(depth + 1, at)
 
     def skip_ws(self):
         while self.pos < len(self.src) and self.src[self.pos].isspace():
@@ -110,74 +136,82 @@ class _Parser:
         return float(m.group())
 
     def parse(self) -> ExprAst:
-        node = self.expr()
+        node, _ = self.expr()
         self.skip_ws()
         if self.pos != len(self.src):
             self.fail("unexpected trailing input")
         return node
 
-    def expr(self) -> ExprAst:
-        node = self.term()
+    def expr(self) -> tuple[ExprAst, int]:
+        node, depth = self.term()
         while True:
             ch = self.peek()
             if ch and ch in "+-":
+                at = self.pos
                 self.pos += 1
-                node = Binary(ch, node, self.term())
+                right, right_depth = self.term()
+                node = Binary(ch, node, right)
+                depth = self.level(max(depth, right_depth) + 1, at)
             else:
-                return node
+                return node, depth
 
-    def term(self) -> ExprAst:
-        node = self.unary()
+    def term(self) -> tuple[ExprAst, int]:
+        node, depth = self.unary()
         while True:
             ch = self.peek()
             if ch and ch in "*/":
+                at = self.pos
                 self.pos += 1
-                node = Binary(ch, node, self.unary())
+                right, right_depth = self.unary()
+                node = Binary(ch, node, right)
+                depth = self.level(max(depth, right_depth) + 1, at)
             else:
-                return node
+                return node, depth
 
-    def unary(self) -> ExprAst:
-        if self.accept("-"):
-            node = self.unary()
+    def unary(self) -> tuple[ExprAst, int]:
+        if self.peek() == "-":
+            at = self.pos
+            self.pos += 1
+            node, depth = self.nested(self.unary, at)
             # fold literal negation so printing round-trips: -3 is Const(-3)
             if isinstance(node, Const):
-                return Const(-node.value)
-            return Unary("neg", node)
+                return Const(-node.value), depth
+            return Unary("neg", node), depth
         return self.power()
 
-    def power(self) -> ExprAst:
-        node = self.atom()
+    def power(self) -> tuple[ExprAst, int]:
+        node, depth = self.atom()
         if self.accept("^"):
             self.skip_ws()
             at = self.pos
             sign = -1.0 if self.accept("-") else 1.0
             if not (self.peek().isdigit() or self.peek() == "."):
                 self.fail("exponent must be a numeric constant", at)
-            return Power(node, sign * self.number())
-        return node
+            return Power(node, sign * self.number()), self.level(depth + 1, at)
+        return node, depth
 
-    def atom(self) -> ExprAst:
+    def atom(self) -> tuple[ExprAst, int]:
         ch = self.peek()
+        at = self.pos
         if ch == "(":
             self.pos += 1
-            node = self.expr()
+            node, depth = self.nested(self.expr, at)
             self.expect(")")
-            return node
+            return node, depth
         if ch.isdigit() or ch == ".":
-            return Const(self.number())
+            return Const(self.number()), 1
         m = _IDENT_RE.match(self.src, self.pos)
         if not m:
             self.fail("expected a number, name or '('")
         name = m.group()
-        at = self.pos
         self.pos = m.end()
         if name in _FUNCTIONS:
             self.expect("(")
-            arg = self.expr()
+            arg, depth = self.nested(self.expr, at)
             self.expect(")")
-            return Unary(name, arg)
+            return Unary(name, arg), depth
         if name in self.names:
-            return Var(self.names[name])
+            return Var(self.names[name]), 1
         self.fail(f"unknown identifier '{name}'", at)
 
 
@@ -376,16 +410,6 @@ def eval_jet1(node: ExprAst, base: Jet1) -> Jet1:
 
 
 def eval_jetn(node: ExprAst, point: Sequence, order: int) -> JetN:
-    """Evaluate an n-variable AST as a multivariate jet at `point`.
-
-    In one variable this reduces to the univariate engine, so dim-1 results
-    match eval_jet1 coefficients bit for bit.
-    """
-    if len(point) == 1:
-        jet = eval_jet1(node, Jet1.variable(point[0], order))
-        return JetN(order, 1, {(i,): c for i, c in enumerate(jet.coeffs)})
-    seeds = jetn_from_values(list(point), order)
-    result = eval_expr(node, seeds)
-    if not isinstance(result, JetN):
-        result = JetN.constant(result, order, len(point))
-    return result
+    """Evaluate an n-variable AST as a multivariate jet at `point`; the same
+    as `jetn_partials`, whose dimension and order caps apply."""
+    return jetn_partials(node, point, order)

@@ -43,8 +43,9 @@ def composite_derivative_1d(
     """(f∘g)^(r)(x0) from f^(0..r) at g(x0) and g^(0..r) at x0.
 
     method='partition' sums r!/(k_1!..k_r!) f^(k) prod (g^(i)/i!)^k_i over
-    all multiplicity vectors; method='bell' uses the equivalent incomplete
-    Bell polynomial form. Both must agree to roundoff.
+    all multiplicity vectors, as `composite_derivative_nd` with n = 1;
+    method='bell' uses the equivalent incomplete Bell polynomial form. Both
+    must agree to roundoff.
     """
     if r < 1:
         raise ValueError(f"derivative order must be positive, got {r}")
@@ -61,25 +62,9 @@ def composite_derivative_1d(
         return total
     if method != "partition":
         raise ValueError(f"unknown method {method!r}")
-    # Term shape matches composite_derivative_nd with n=1 exactly (same
-    # integer coefficient, same multiplication order), so the n=1 reduction
-    # of the multivariate formula reproduces this path bit for bit.
-    total, comp = 0.0, 0.0
-    r_fact = math.factorial(r)
-    for pv in enumerate_partition_vectors(r):
-        denom = 1
-        for i, k_i in enumerate(pv.counts, start=1):
-            if k_i:
-                denom *= math.factorial(k_i) * math.factorial(i) ** k_i
-        coeff, rem = divmod(r_fact, denom)
-        if rem:
-            raise ArithmeticError("non-integer chain-rule coefficient")
-        term = float(coeff) * f_derivs[pv.block_count]
-        for i, k_i in enumerate(pv.counts, start=1):
-            if k_i:
-                term = term * g_derivs[i] ** k_i
-        total, comp = _kahan_add(total, comp, term)
-    return total
+    return composite_derivative_nd(
+        {(k,): f_k for k, f_k in enumerate(f_derivs)}, [g_derivs], r, 1
+    )
 
 
 def composite_derivative_nd(

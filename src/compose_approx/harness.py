@@ -37,6 +37,7 @@ from .weighted import (
     JacobiWeight,
     derivative_fn,
     chained_lemma_constant,
+    chebyshev_grid,
     multivariate_sobolev_norm,
     require_lemma_range,
     sobolev_norm,
@@ -241,7 +242,8 @@ def verify_composite_bound(
         raise ValueError(f"order must be positive, got {r}")
     require_lemma_range(w)
     n = len(g)
-    probe = remez_grid(JacobiWeight(0.5, 0.5), DEFAULT_REMEZ)  # interior points
+    margin = DEFAULT_REMEZ.endpoint_margin
+    probe = chebyshev_grid(DEFAULT_REMEZ.grid_points, margin, margin)  # interior points
     if box is None:
         box = measured_box(g, probe)
     else:

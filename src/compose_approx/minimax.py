@@ -31,7 +31,11 @@ from .weighted import (
     DEFAULT_GRID,
     GridConfig,
     JacobiWeight,
+    chebyshev_grid,
     derivative_fn,
+    eval_samples,
+    parabola_vertex,
+    refine_max,
     weight_eval,
     weighted_sup_norm,
 )
@@ -89,14 +93,12 @@ class ApproxReport:
 def remez_grid(w: JacobiWeight, opts: RemezOptions = DEFAULT_REMEZ) -> np.ndarray:
     """Ascending Chebyshev-spaced sampling grid, endpoints pulled inward
     where the weight vanishes (so singular-but-integrable f stays finite)."""
-    n = opts.grid_points
-    xs = -np.cos(math.pi * np.arange(n) / (n - 1))
-    xs[0], xs[-1] = -1.0, 1.0
-    if w.delta > 0:
-        xs[0] = -1.0 + opts.endpoint_margin
-    if w.gamma > 0:
-        xs[-1] = 1.0 - opts.endpoint_margin
-    return xs
+    margin = opts.endpoint_margin
+    return chebyshev_grid(
+        opts.grid_points,
+        margin if w.delta > 0 else 0.0,
+        margin if w.gamma > 0 else 0.0,
+    )
 
 
 def _alternation_solve(
@@ -115,27 +117,19 @@ def _alternation_solve(
 
 
 def _extrema_candidates(e: np.ndarray) -> list[int]:
-    """One index per maximal run of constant residual sign (zeros ignored)."""
-    candidates: list[int] = []
-    run_sign = 0
-    best_idx = -1
-    best_val = -1.0
-    for i, v in enumerate(e):
-        s = 1 if v > 0 else (-1 if v < 0 else 0)
-        if s == 0:
-            continue
-        if s != run_sign:
-            if run_sign != 0:
-                candidates.append(best_idx)
-            run_sign = s
-            best_idx = i
-            best_val = abs(v)
-        elif abs(v) > best_val:
-            best_idx = i
-            best_val = abs(v)
-    if run_sign != 0:
-        candidates.append(best_idx)
-    return candidates
+    """One index per maximal run of constant residual sign (zeros ignored):
+    the first index of the run's largest |e|."""
+    nz = np.flatnonzero((e > 0) | (e < 0))
+    if nz.size == 0:
+        return []
+    positive = e[nz] > 0
+    new_run = np.concatenate(([True], positive[1:] != positive[:-1]))
+    run = np.cumsum(new_run) - 1
+    mag = np.abs(e[nz])
+    run_max = np.maximum.reduceat(mag, np.flatnonzero(new_run))
+    at_max = np.flatnonzero(mag == run_max[run])
+    first = np.concatenate(([True], np.diff(run[at_max]) != 0))
+    return nz[at_max[first]].tolist()
 
 
 def _trim_candidates(cand: list[int], e: np.ndarray, target: int) -> list[int]:
@@ -168,12 +162,8 @@ def _parabola_peak(x: np.ndarray, y: np.ndarray, i: int) -> tuple[float, float]:
         return float(x[i]), float(abs(y[i]))
     x0, x1, x2 = float(x[i - 1]), float(x[i]), float(x[i + 1])
     y0, y1, y2 = abs(float(y[i - 1])), abs(float(y[i])), abs(float(y[i + 1]))
-    num = (x1 - x0) ** 2 * (y1 - y2) - (x1 - x2) ** 2 * (y1 - y0)
-    den = (x1 - x0) * (y1 - y2) - (x1 - x2) * (y1 - y0)
-    if den == 0.0:
-        return x1, y1
-    xv = x1 - 0.5 * num / den
-    if not x0 < xv < x2:
+    xv = parabola_vertex(x0, x1, x2, y0, y1, y2)
+    if xv is None:
         return x1, y1
     # value at the vertex from the same quadratic model
     d01 = (y1 - y0) / (x1 - x0)
@@ -181,47 +171,6 @@ def _parabola_peak(x: np.ndarray, y: np.ndarray, i: int) -> tuple[float, float]:
     curv = (d12 - d01) / (x2 - x0)
     yv = y1 + d01 * (xv - x1) + curv * (xv - x0) * (xv - x1)
     return xv, max(yv, y1)
-
-
-def _refine_signed_max(
-    g: Callable[[float], float], a: float, b: float, c: float, rel_tol: float
-) -> tuple[float, float]:
-    """Maximize g on [a, c] from the bracket point b by parabola/golden steps."""
-    inv_gold = (math.sqrt(5.0) - 1.0) / 2.0
-    fa, fb, fc = g(a), g(b), g(c)
-    if a == b or b == c:
-        mid = 0.5 * (a + c)
-        fm = g(mid)
-        if fm >= fb:
-            b, fb = mid, fm
-    for _ in range(60):
-        prev = fb
-        num = (b - a) ** 2 * (fb - fc) - (b - c) ** 2 * (fb - fa)
-        den = (b - a) * (fb - fc) - (b - c) * (fb - fa)
-        x = None
-        if den != 0.0:
-            cand = b - 0.5 * num / den
-            if a < cand < c and abs(cand - b) > 1e-17:
-                x = cand
-        if x is None:
-            x = b + (1 - inv_gold) * ((c - b) if (c - b) > (b - a) else (a - b))
-            if not a < x < c or x == b:
-                break
-        fx = g(x)
-        if fx > fb:
-            if x < b:
-                c, fc = b, fb
-            else:
-                a, fa = b, fb
-            b, fb = x, fx
-        else:
-            if x < b:
-                a, fa = x, fx
-            else:
-                c, fc = x, fx
-        if abs(fb - prev) <= rel_tol * max(abs(fb), 1e-300) and (c - a) < 1e-6:
-            break
-    return b, fb
 
 
 def remez_from_values(
@@ -355,8 +304,8 @@ def _polish(
             a = lo if i == 0 else 0.5 * (refs[i - 1] + refs[i])
             c = hi if i == k - 1 else 0.5 * (refs[i] + refs[i + 1])
             sigma = sign_h * (1.0 if i % 2 == 0 else -1.0)
-            x_i, v_i = _refine_signed_max(
-                lambda x: sigma * residual(x), a, float(refs[i]), c, opts.tol
+            x_i, v_i = refine_max(
+                lambda x: sigma * residual(x), a, float(refs[i]), c, opts.tol, width=1e-6
             )
             new_refs[i] = x_i
             values[i] = v_i
@@ -369,16 +318,6 @@ def _polish(
     return coeffs, abs(h), refs, values, False
 
 
-def _sample(f: Callable, xs: np.ndarray) -> np.ndarray:
-    try:
-        vals = np.asarray(f(xs), dtype=float)
-        if vals.shape != xs.shape:
-            raise TypeError
-        return vals
-    except (TypeError, ValueError):
-        return np.array([float(f(float(x))) for x in xs])
-
-
 def weighted_remez(
     f: Callable,
     m: int,
@@ -387,7 +326,7 @@ def weighted_remez(
 ) -> ApproxReport:
     """Weighted minimax approximation of a callable f on [-1, 1]."""
     xs = remez_grid(w, opts)
-    return remez_from_values(xs, _sample(f, xs), m, w, opts, refine_with=f)
+    return remez_from_values(xs, eval_samples(f, xs), m, w, opts, refine_with=f)
 
 
 def cheb_interpolant(f: Callable, m: int) -> ChebPoly:
@@ -397,7 +336,7 @@ def cheb_interpolant(f: Callable, m: int) -> ChebPoly:
     k = np.arange(m + 1)
     theta = math.pi * (k + 0.5) / (m + 1)
     nodes = np.cos(theta)
-    fvals = _sample(f, nodes)
+    fvals = eval_samples(f, nodes)
     if not np.all(np.isfinite(fvals)):
         bad = int(np.argmin(np.isfinite(fvals)))
         raise EvaluationError("non-finite node value", float(nodes[bad]))

@@ -121,14 +121,15 @@ class NormReport:
     refined: bool
 
 
-def _chebyshev_points(n: int, margin: float) -> np.ndarray:
-    i = np.arange(n)
-    xs = -np.cos(math.pi * i / (n - 1))
-    lo, hi = -1.0 + margin, 1.0 - margin
-    return np.clip(xs, lo, hi)
+def chebyshev_grid(n: int, left_margin: float, right_margin: float) -> np.ndarray:
+    """n ascending Chebyshev-Lobatto points on [-1, 1] with the two ends
+    pulled inward by the margins (a zero margin keeps the end at +-1)."""
+    xs = -np.cos(math.pi * np.arange(n) / (n - 1))
+    xs[0], xs[-1] = -1.0 + left_margin, 1.0 - right_margin
+    return xs
 
 
-def _eval_samples(fn: Callable, xs: np.ndarray) -> np.ndarray:
+def eval_samples(fn: Callable, xs: np.ndarray) -> np.ndarray:
     """Evaluate `fn` on an array, falling back to a scalar loop."""
     try:
         vals = np.asarray(fn(xs), dtype=float)
@@ -137,6 +138,14 @@ def _eval_samples(fn: Callable, xs: np.ndarray) -> np.ndarray:
         return vals
     except (TypeError, ValueError):
         return np.array([float(fn(float(x))) for x in xs])
+
+
+def _peak_candidates(vals: np.ndarray, cutoff: float) -> np.ndarray:
+    """Ascending indices of samples at or above `cutoff` that no neighbour
+    exceeds; ties with a neighbour are all kept."""
+    padded = np.concatenate(([-np.inf], vals, [-np.inf]))
+    mask = (vals >= cutoff) & (vals >= padded[:-2]) & (vals >= padded[2:])
+    return np.flatnonzero(mask)
 
 
 def weighted_sup_norm(
@@ -152,12 +161,12 @@ def weighted_sup_norm(
     """
     if phi_power < 0:
         raise ValueError("phi_power must be nonnegative")
-    xs = _chebyshev_points(grid.points, grid.endpoint_margin)
+    xs = chebyshev_grid(grid.points, grid.endpoint_margin, grid.endpoint_margin)
     uvals = weight_eval(w, xs)
     if phi_power:
         uvals = uvals * phi_eval(xs) ** phi_power
 
-    raw = _eval_samples(fn, xs)
+    raw = eval_samples(fn, xs)
     if not np.all(np.isfinite(raw)):
         bad = int(np.argmin(np.isfinite(raw)))
         raise EvaluationError("non-finite sample", float(xs[bad]))
@@ -178,16 +187,10 @@ def weighted_sup_norm(
     best_arg = float(xs[int(np.argmax(vals))])
     refined = False
     n = len(xs)
-    for i in range(n):
-        if vals[i] < cutoff:
-            continue
-        left = vals[i - 1] if i > 0 else -math.inf
-        right = vals[i + 1] if i < n - 1 else -math.inf
-        if vals[i] < left or vals[i] < right:
-            continue
+    for i in _peak_candidates(vals, cutoff).tolist():
         # near-global local maximum: refine inside the bracket
         if 0 < i < n - 1:
-            x_ref, v_ref = _refine_max(
+            x_ref, v_ref = refine_max(
                 product, float(xs[i - 1]), float(xs[i]), float(xs[i + 1]), grid.rel_tol
             )
             if v_ref > vals[i]:
@@ -199,29 +202,50 @@ def weighted_sup_norm(
     return NormReport(best_val, best_arg, grid.points, refined)
 
 
-def _refine_max(
-    f: Callable[[float], float], a: float, b: float, c: float, rel_tol: float
+def parabola_vertex(
+    a: float, b: float, c: float, fa: float, fb: float, fc: float
+) -> float | None:
+    """Abscissa of the vertex of the parabola through (a, fa), (b, fb),
+    (c, fc), or None when it is degenerate or falls outside (a, c)."""
+    num = (b - a) ** 2 * (fb - fc) - (b - c) ** 2 * (fb - fa)
+    den = (b - a) * (fb - fc) - (b - c) * (fb - fa)
+    if den == 0.0:
+        return None
+    x = b - 0.5 * num / den
+    return x if a < x < c else None
+
+
+def refine_max(
+    f: Callable[[float], float],
+    a: float,
+    b: float,
+    c: float,
+    rel_tol: float,
+    width: float | None = None,
 ) -> tuple[float, float]:
-    """Maximize f on [a, c] starting from the bracket a < b < c.
+    """Maximize f on [a, c] starting from the bracket a <= b <= c.
 
     Tries a parabola through the three current points first and falls back to
-    a golden-section step; stops when successive best values agree to rel_tol.
+    a golden-section step into the larger side. Stops once successive best
+    values agree to rel_tol and the bracket is narrower than `width`. Without
+    a width only the value matters: two agreeing steps in a row, or a bracket
+    below 1e-9, end the search.
     """
     inv_gold = (math.sqrt(5.0) - 1.0) / 2.0
     fa, fb, fc = f(a), f(b), f(c)
+    if a == b or b == c:  # degenerate bracket: probe its midpoint
+        mid = 0.5 * (a + c)
+        fm = f(mid)
+        if fm >= fb:
+            b, fb = mid, fm
     stable = 0
     for _ in range(60):
         prev_best = fb
-        # parabola vertex through (a, fa), (b, fb), (c, fc)
-        num = (b - a) ** 2 * (fb - fc) - (b - c) ** 2 * (fb - fa)
-        den = (b - a) * (fb - fc) - (b - c) * (fb - fa)
-        x = None
-        if den != 0.0:
-            cand = b - 0.5 * num / den
-            if a < cand < c and abs(cand - b) > 1e-17:
-                x = cand
-        if x is None:  # golden-section step into the larger side
+        x = parabola_vertex(a, b, c, fa, fb, fc)
+        if x is None or abs(x - b) <= 1e-17:
             x = b + (1 - inv_gold) * ((c - b) if (c - b) > (b - a) else (a - b))
+            if not a < x < c or x == b:
+                break  # the bracket has shrunk to rounding level
         fx = f(x)
         if fx > fb:
             if x < b:
@@ -234,11 +258,12 @@ def _refine_max(
                 a, fa = x, fx
             else:
                 c, fc = x, fx
-        # the estimate is the VALUE at the max: once successive estimates
-        # stabilize to rel_tol twice in a row, further bracketing is moot
         if abs(fb - prev_best) <= rel_tol * max(abs(fb), 1e-300):
             stable += 1
-            if stable >= 2 or (c - a) < 1e-9:
+            if width is None:
+                if stable >= 2 or (c - a) < 1e-9:
+                    break
+            elif (c - a) < width:
                 break
         else:
             stable = 0

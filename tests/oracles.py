@@ -75,3 +75,44 @@ def dense_sup(fn_vectorized, weight_vectorized, n_points: int = 1_000_001) -> fl
 
 def rel_err(a: float, b: float, floor: float = 1e-300) -> float:
     return abs(a - b) / max(abs(a), abs(b), floor)
+
+
+def peak_candidates_loop(vals, cutoff: float) -> list[int]:
+    """Indices of samples at or above `cutoff` that no neighbour exceeds,
+    scanned one sample at a time (the sup norm's candidate rule)."""
+    out = []
+    n = len(vals)
+    for i in range(n):
+        if vals[i] < cutoff:
+            continue
+        left = vals[i - 1] if i > 0 else -np.inf
+        right = vals[i + 1] if i < n - 1 else -np.inf
+        if vals[i] < left or vals[i] < right:
+            continue
+        out.append(i)
+    return out
+
+
+def extrema_candidates_loop(e) -> list[int]:
+    """One index per maximal run of constant sign (zeros ignored): the first
+    index of the run's largest |e|, scanned one sample at a time."""
+    candidates: list[int] = []
+    run_sign = 0
+    best_idx = -1
+    best_val = -1.0
+    for i, v in enumerate(e):
+        s = 1 if v > 0 else (-1 if v < 0 else 0)
+        if s == 0:
+            continue
+        if s != run_sign:
+            if run_sign != 0:
+                candidates.append(best_idx)
+            run_sign = s
+            best_idx = i
+            best_val = abs(v)
+        elif abs(v) > best_val:
+            best_idx = i
+            best_val = abs(v)
+    if run_sign != 0:
+        candidates.append(best_idx)
+    return candidates

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from compose_approx.cli import main
+from compose_approx.expr import MAX_DEPTH
 
 
 def run_cli(capsys, *argv):
@@ -80,6 +81,30 @@ class TestErrorsAndExitCodes:
         code, _, err = run_cli(capsys, "norm", "--f", "2*", "--r", "1")
         assert code == 2
         assert "offset" in err
+
+    @pytest.mark.parametrize(
+        "command, nest",
+        [
+            (("norm", "--r", "1", "--f={}"), lambda d: "(" * (d - 1) + "x" + ")" * (d - 1)),
+            (("norm", "--r", "1", "--f={}"), lambda d: "-" * (d - 1) + "x"),
+            (
+                ("faa", "--f", "exp(y1)", "--x0", "0.1", "--r", "2", "--g={}"),
+                lambda d: "+".join(["x"] * d),
+            ),
+        ],
+        ids=["parentheses", "unary-minus", "left-deep-sum"],
+    )
+    def test_nesting_cap(self, capsys, command, nest):
+        def run(depth):
+            return run_cli(capsys, *(arg.format(nest(depth)) for arg in command))
+
+        code, _, _ = run(MAX_DEPTH)
+        assert code == 0
+        code, _, err = run(MAX_DEPTH + 1)
+        assert code == 2
+        assert "nested deeper" in err and "offset" in err
+        code, _, err = run(3000)
+        assert code == 2
 
     def test_domain_error_exit_two(self, capsys):
         code, _, err = run_cli(capsys, "bestapprox", "--f", "log(x)", "--m", "3")

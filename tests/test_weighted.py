@@ -14,6 +14,7 @@ from compose_approx.weighted import (
     lemma_constant,
     multivariate_sobolev_norm,
     phi_eval,
+    refine_max,
     sobolev_norm,
     weight_eval,
     weighted_sup_norm,
@@ -115,6 +116,18 @@ class TestSupNorm:
             est = weighted_sup_norm(fn, w, p, GridConfig()).value
             oracle = dense_sup(fn, lambda x: np.asarray(weight_eval(w, x)) * phi_eval(x) ** p)
             assert rel_err(est, oracle) < 1e-6, src
+
+
+class TestRefineMax:
+    @staticmethod
+    def bump(x):
+        return 1.0 - (x - 0.3) ** 2 + 0.1 * math.sin(4 * x)
+
+    def test_value_and_bracket_rules_agree(self):
+        x_value, v_value = refine_max(self.bump, -1.0, 0.0, 1.0, 1e-12)
+        x_width, v_width = refine_max(self.bump, -1.0, 0.0, 1.0, 1e-12, width=1e-6)
+        assert v_value == pytest.approx(v_width, rel=1e-12)
+        assert abs(x_width - x_value) < 1e-5
 
 
 class TestSobolevNorms:
