@@ -34,6 +34,11 @@ from .weighted import GridConfig, JacobiWeight, derivative_fn, weighted_sup_norm
 CONFIG_ENV = "COMPOSE_APPROX_CONFIG"
 CONFIG_KEYS = ("grid", "tol", "out", "seed")
 
+# Sampling points per sup norm; the composite expansion holds one array of
+# this length per outer partial, so the cap keeps it at desk scale.
+MIN_GRID_POINTS = 32
+MAX_GRID_POINTS = 65537
+
 
 def _fmt(v: float) -> str:
     return f"{v:.12g}"
@@ -74,8 +79,10 @@ class Settings:
         self.seed = int(args.seed if args.seed is not None else cfg.get("seed", 0))
         self.strict = bool(args.strict)
         self.max_iter = int(getattr(args, "max_iter", 60) or 60)
-        if self.grid_points < 32:
-            raise ValueError("--grid must be at least 32")
+        if not MIN_GRID_POINTS <= self.grid_points <= MAX_GRID_POINTS:
+            raise ValueError(
+                f"--grid must be between {MIN_GRID_POINTS} and {MAX_GRID_POINTS}"
+            )
         if not 0 < self.tol < 1:
             raise ValueError("--tol must be in (0, 1)")
 
@@ -93,6 +100,12 @@ class Settings:
             polish_max_iter=min(10, self.max_iter),
         )
 
+    def check_degree(self, m: int) -> None:
+        """A degree-m solve needs m + 2 reference points on the exchange grid."""
+        limit = self.remez.grid_points - 2
+        if m > limit:
+            raise ValueError(f"degree {m} exceeds {limit}, the most the exchange grid allows")
+
 
 def _parse_exprs(src: str) -> list:
     return [parse(part.strip(), 1) for part in src.split(",")]
@@ -102,7 +115,7 @@ def _outer_names(n: int) -> list[str]:
     return [f"y{i + 1}" for i in range(n)]
 
 
-def _parse_ms(spec: str, r: int) -> list[int]:
+def _parse_ms(spec: str, r: int, settings: Settings) -> list[int]:
     spec = spec.strip()
     if spec == "ladder":
         return degree_ladder(max(r, 2), 128)
@@ -113,8 +126,11 @@ def _parse_ms(spec: str, r: int) -> list[int]:
         step = int(step_txt) if step_txt else 1
         if step < 1 or hi < lo:
             raise ValueError(f"bad degree range '{spec}'")
+        settings.check_degree(hi)
         return list(range(lo, hi + 1, step))
-    return sorted({int(part) for part in spec.split(",")})
+    ms = sorted({int(part) for part in spec.split(",")})
+    settings.check_degree(ms[-1])
+    return ms
 
 
 def _weight(args) -> JacobiWeight:
@@ -176,6 +192,7 @@ def _cmd_norm(args, settings: Settings) -> int:
 
 
 def _cmd_bestapprox(args, settings: Settings) -> int:
+    settings.check_degree(args.m)
     f = parse(args.f, 1)
     w = _weight(args)
 
@@ -229,7 +246,7 @@ def _cmd_verify(args, settings: Settings) -> int:
     else:  # rate
         gs = _parse_exprs(args.g)
         f = parse(args.f, len(gs), _outer_names(len(gs)))
-        ms = _parse_ms(args.ms, args.r)
+        ms = _parse_ms(args.ms, args.r, settings)
         report = verify_rate(
             f, gs, args.r, w, ms, settings.grid, settings.remez,
             case=args.case, seed=settings.seed,

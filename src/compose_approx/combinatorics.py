@@ -202,21 +202,39 @@ def incomplete_bell(r: int, k: int, x: Sequence[float]) -> float:
 
 
 def incomplete_bell_ones(r: int, k: int) -> int:
-    """Exact integer value of B_{r,k}(1,...,1), i.e. the Stirling number S(r,k)."""
+    """Exact integer value of B_{r,k}(1,...,1), i.e. the Stirling number S(r,k).
+
+    Uses S(m, j) = j S(m-1, j) + S(m-1, j-1), one row at a time.
+    """
     if not 1 <= k <= r:
         raise ValueError(f"need 1 <= k <= r, got k={k}, r={r}")
-    return sum(coeff for coeff, _ in _bell_terms(r, k))
+    row = [1] + [0] * k  # S(0, 0..k)
+    for m in range(1, r + 1):
+        for j in range(min(m, k), 0, -1):
+            row[j] = j * row[j] + row[j - 1]
+        row[0] = 0
+    return row[k]
 
 
 def bell_number(r: int, *, max_order: int = DEFAULT_MAX_ORDER) -> int:
-    """Number of set partitions of an r-element set, exactly."""
+    """Number of set partitions of an r-element set, exactly.
+
+    Built with the Bell triangle: each row starts with the last entry of the
+    row before and adds that row's entries one by one; B_r ends row r-1.
+    """
     if r < 1:
         raise ValueError(f"order must be positive, got {r}")
     if r > max_order:
         raise ResourceLimitError(
             f"order {r} exceeds the enumeration cap max_order={max_order}"
         )
-    return sum(incomplete_bell_ones(r, k) for k in range(1, r + 1))
+    row = [1]
+    for _ in range(r - 1):
+        nxt = [row[-1]]
+        for v in row:
+            nxt.append(nxt[-1] + v)
+        row = nxt
+    return row[-1]
 
 
 def multinomial(k: int, parts: Sequence[int]) -> int:

@@ -251,7 +251,7 @@ def verify_composite_bound(
         _check_image_in_box(g, probe, box)
 
     def high_deriv(x):
-        return composite_jet(f, g, x, r)[r]
+        return composite_jet(f, g, x, r, start=r)[0]
 
     lhs = weighted_sup_norm(high_deriv, w.power(r), r, grid).value
     f_norm = multivariate_sobolev_norm(f, r, box, grid)

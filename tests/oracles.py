@@ -8,7 +8,9 @@ sup norms by plain dense uniform grids.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
+from itertools import product
 
 import numpy as np
 
@@ -52,6 +54,31 @@ def set_partition_count(n: int, k: int) -> int:
     if n == 0 or k == 0 or k > n:
         return 0
     return k * set_partition_count(n - 1, k) + set_partition_count(n - 1, k - 1)
+
+
+def _partitions(n: int, largest: int | None = None):
+    """Integer partitions of n as non-increasing part lists."""
+    if n == 0:
+        yield []
+        return
+    for part in range(min(n if largest is None else largest, n), 0, -1):
+        for rest in _partitions(n - part, part):
+            yield [part] + rest
+
+
+def stirling_by_partition_sum(r: int, k: int) -> int:
+    """S(r, k) as the sum of r! / prod(k_i! (i!)^k_i) over the partitions of
+    r into k parts, k_i counting the parts of size i."""
+    total = 0
+    for parts in _partitions(r):
+        if len(parts) != k:
+            continue
+        denom = 1
+        for i in set(parts):
+            k_i = parts.count(i)
+            denom *= math.factorial(k_i) * math.factorial(i) ** k_i
+        total += math.factorial(r) // denom
+    return total
 
 
 def bell_count(n: int) -> int:
@@ -116,3 +143,41 @@ def extrema_candidates_loop(e) -> list[int]:
     if run_sign != 0:
         candidates.append(best_idx)
     return candidates
+
+
+def _weak_compositions(total: int, parts: int):
+    """Tuples of `parts` nonnegative integers summing to `total`, ascending."""
+    return [c for c in product(range(total + 1), repeat=parts) if sum(c) == total]
+
+
+def composite_derivative_loop(f_partials, g_derivs, r: int, n: int):
+    """(f∘g)^(r) term by term: every multiplicity vector (k_1..k_r) with
+    sum(i*k_i) = r, then every matrix whose row i spreads k_i over the n
+    variables, both ascending; exact integer coefficients; Kahan
+    summation in that order. Entries may be floats or arrays."""
+    r_fact = math.factorial(r)
+    total, comp = 0.0, 0.0
+    for counts in product(*(range(r // i + 1) for i in range(1, r + 1))):
+        if sum(i * k for i, k in enumerate(counts, start=1)) != r:
+            continue
+        fact_weight = 1
+        for i, k_i in enumerate(counts, start=1):
+            fact_weight *= math.factorial(i) ** k_i
+        for rows in product(*(_weak_compositions(k_i, n) for k_i in counts)):
+            p = tuple(sum(col) for col in zip(*rows))
+            denom = fact_weight
+            for row in rows:
+                for q in row:
+                    denom *= math.factorial(q)
+            coeff, rem = divmod(r_fact, denom)
+            assert rem == 0
+            term = float(coeff) * f_partials[p]
+            for i, row in enumerate(rows, start=1):
+                for j, q in enumerate(row):
+                    if q:
+                        term = term * g_derivs[j][i] ** q
+            y = term - comp
+            t = total + y
+            comp = (t - total) - y
+            total = t
+    return total

@@ -5,6 +5,8 @@ import pytest
 from compose_approx.cli import main
 from compose_approx.expr import MAX_DEPTH
 
+from oracles import bell_count
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -105,6 +107,37 @@ class TestErrorsAndExitCodes:
         assert "nested deeper" in err and "offset" in err
         code, _, err = run(3000)
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--grid", "1000000000000", "norm", "--f", "x", "--r", "1"),
+            ("--grid", "31", "norm", "--f", "x", "--r", "1"),
+            ("bestapprox", "--f", "x", "--m", "1000000000"),
+            ("verify", "rate", "--f", "y1", "--g", "x", "--r", "1",
+             "--ms", "4..1000000000000"),
+            ("verify", "rate", "--f", "y1", "--g", "x", "--r", "1",
+             "--ms", "4,1000000000000"),
+            ("--grid", "65537", "bestapprox", "--f", "x", "--m", "65536"),
+        ],
+        ids=["grid-huge", "grid-small", "m-huge", "ms-range", "ms-list", "m-past-grid"],
+    )
+    def test_caps_exit_two_before_allocating(self, capsys, argv):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert "--grid" in err or "exceeds" in err
+
+    def test_config_grid_capped(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("grid=1000000000000\n")
+        code, _, err = run_cli(capsys, "--config", str(cfg), "bell", "3")
+        assert code == 2
+        assert "--grid" in err
+
+    def test_bell_at_the_order_cap(self, capsys):
+        code, out, _ = run_cli(capsys, "bell", "64")
+        assert code == 0
+        assert int(out) == bell_count(64)
 
     def test_domain_error_exit_two(self, capsys):
         code, _, err = run_cli(capsys, "bestapprox", "--f", "log(x)", "--m", "3")

@@ -1,10 +1,12 @@
 import math
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from compose_approx.combinatorics import (
+    DEFAULT_MAX_ORDER,
     CompositionMatrix,
     PartitionVector,
     bell_number,
@@ -16,7 +18,12 @@ from compose_approx.combinatorics import (
 )
 from compose_approx.errors import ResourceLimitError
 
-from oracles import bell_count, partition_count_brute, set_partition_count_enum
+from oracles import (
+    bell_count,
+    partition_count_brute,
+    set_partition_count_enum,
+    stirling_by_partition_sum,
+)
 
 
 class TestPartitionVectors:
@@ -155,6 +162,18 @@ class TestBellNumbers:
     def test_cap(self):
         with pytest.raises(ResourceLimitError):
             bell_number(65)
+
+    def test_recurrences_match_partition_sums(self):
+        for r in range(1, 21):
+            stirling = [stirling_by_partition_sum(r, k) for k in range(1, r + 1)]
+            assert [incomplete_bell_ones(r, k) for k in range(1, r + 1)] == stirling
+            assert bell_number(r) == sum(stirling)
+
+    def test_largest_allowed_order_is_fast(self):
+        t0 = time.perf_counter()
+        value = bell_number(DEFAULT_MAX_ORDER)
+        assert time.perf_counter() - t0 < 0.25
+        assert value == bell_count(DEFAULT_MAX_ORDER)
 
 
 class TestMultinomial:

@@ -3,12 +3,13 @@ serially: they keep no shared mutable state."""
 
 import random
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from compose_approx.expr import eval_scalar, parse
-from compose_approx.faadibruno import composite_jet
+from compose_approx.faadibruno import compile_expansion, composite_jet
 from compose_approx.minimax import RemezOptions, weighted_remez
 from compose_approx.weighted import GridConfig, JacobiWeight, derivative_fn, weighted_sup_norm
 
@@ -54,3 +55,25 @@ def test_four_threads_match_serial():
         sys.setswitchinterval(old)
     for i, got in results:
         assert _same(got, serial[i]), f"task {i} differs under threads"
+
+
+def test_cold_expansion_cache_from_four_threads():
+    f = parse("exp(y1/8)+y2*y3", 3, ["y1", "y2", "y3"])
+    g = [parse(s, 1) for s in ("sin(x)", "1/(3+x)", "cos(x)")]
+    serial = composite_jet(f, g, 0.3, 8)
+    compile_expansion.cache_clear()
+    start = threading.Barrier(4)
+
+    def task():
+        start.wait(timeout=60)
+        return composite_jet(f, g, 0.3, 8)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            results = [fut.result(timeout=120) for fut in [pool.submit(task) for _ in range(4)]]
+    finally:
+        sys.setswitchinterval(old)
+    for got in results:
+        assert got == serial

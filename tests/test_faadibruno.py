@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from compose_approx.combinatorics import bell_number
+from compose_approx.errors import ResourceLimitError
 from compose_approx.expr import eval_expr, eval_jet1, parse
 from compose_approx.faadibruno import (
+    compile_expansion,
     composite_derivative_1d,
     composite_derivative_nd,
     composite_jet,
@@ -123,3 +125,47 @@ class TestCompositeJet:
                     assert abs(a - b) < 1e-12
                 else:
                     assert rel_err(a, b) < 1e-9
+
+
+class TestCompiledExpansion:
+    def test_table_arrays_are_read_only(self):
+        table = compile_expansion(4, 2)
+        for arr in (table.coeffs, table.partial_of, table.factors, table.powers):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1
+
+    def test_cache_is_bounded_and_reused(self):
+        assert compile_expansion.cache_info().maxsize is not None
+        assert compile_expansion(5, 3) is compile_expansion(5, 3)
+
+    def test_table_layout(self):
+        # r = 2, n = 1: f' g'' (k = (0, 1)) + f'' g'^2 (k = (2, 0))
+        table = compile_expansion(2, 1)
+        assert table.partials == ((1,), (2,))
+        assert table.coeffs.tolist() == [1.0, 1.0]
+        assert table.powers.tolist() == [[0, 0, 0], [2, 0, 1], [1, 0, 2]]
+        assert table.factors.tolist() == [[1], [2]]
+
+    def test_term_cap_checked_before_enumeration(self):
+        # p(20) = 627 partition vectors, but the matrices number in the
+        # hundreds of millions: the count is rejected before any is built
+        with pytest.raises(ResourceLimitError, match="max_matrices"):
+            compile_expansion(20, 40)
+
+
+class TestOrderRange:
+    def test_start_keeps_the_top_orders(self):
+        f = parse("exp(y1/8)+y2*y3", 3, ["y1", "y2", "y3"])
+        g = [parse(s, 1) for s in ("sin(x)", "1/(3+x)", "cos(x)")]
+        xs = np.linspace(-0.9, 0.9, 5)
+        for x0 in (0.3, xs):
+            full = composite_jet(f, g, x0, 6)
+            for start in (0, 1, 4, 6):
+                tail = composite_jet(f, g, x0, 6, start=start)
+                assert len(tail) == 7 - start
+                for a, b in zip(tail, full[start:]):
+                    np.testing.assert_array_equal(a, b)
+
+    def test_start_out_of_range(self):
+        with pytest.raises(ValueError, match="start"):
+            composite_jet(parse("y1", 1, ["y1"]), [parse("x", 1)], 0.1, 2, start=3)
