@@ -187,7 +187,13 @@ def weighted_sup_norm(
     best_arg = float(xs[int(np.argmax(vals))])
     refined = False
     n = len(xs)
-    for i in _peak_candidates(vals, cutoff).tolist():
+    # Inside a run of three or more tied samples the bracket is flat; only the
+    # two ends of the run, where the plateau meets its surroundings, are
+    # refined, so a constant product costs no scalar search at all.
+    flat = np.zeros(n, dtype=bool)
+    flat[1:-1] = (vals[1:-1] == vals[:-2]) & (vals[1:-1] == vals[2:])
+    cands = _peak_candidates(vals, cutoff)
+    for i in cands[~flat[cands]].tolist():
         # near-global local maximum: refine inside the bracket
         if 0 < i < n - 1:
             x_ref, v_ref = refine_max(

@@ -9,8 +9,11 @@ from compose_approx.expr import eval_scalar, parse
 from compose_approx.weighted import (
     GridConfig,
     JacobiWeight,
+    _peak_candidates,
     chained_lemma_constant,
+    chebyshev_grid,
     derivative_fn,
+    eval_samples,
     lemma_constant,
     multivariate_sobolev_norm,
     phi_eval,
@@ -116,6 +119,69 @@ class TestSupNorm:
             est = weighted_sup_norm(fn, w, p, GridConfig()).value
             oracle = dense_sup(fn, lambda x: np.asarray(weight_eval(w, x)) * phi_eval(x) ** p)
             assert rel_err(est, oracle) < 1e-6, src
+
+
+def _sup_refining_every_candidate(fn, w, p, grid):
+    """The sup norm with every tied sample refined, plateau interiors too."""
+    xs = chebyshev_grid(grid.points, grid.endpoint_margin, grid.endpoint_margin)
+    uvals = weight_eval(w, xs) * phi_eval(xs) ** p
+    vals = np.abs(eval_samples(fn, xs)) * uvals
+
+    def product(x):
+        return abs(float(fn(x))) * (weight_eval(w, x) * phi_eval(x) ** p)
+
+    grid_max = float(np.max(vals))
+    best = (grid_max, float(xs[int(np.argmax(vals))]), False)
+    for i in _peak_candidates(vals, grid_max * (1.0 - 1e-3) - 1e-300).tolist():
+        if 0 < i < len(xs) - 1:
+            x_ref, v_ref = refine_max(
+                product, float(xs[i - 1]), float(xs[i]), float(xs[i + 1]), grid.rel_tol
+            )
+            refined = best[2] or bool(v_ref > vals[i])
+            best = (v_ref, x_ref, refined) if v_ref > best[0] else (*best[:2], refined)
+    return best
+
+
+class TestPlateau:
+    GRID = GridConfig(points=257)
+
+    def test_flat_product_needs_no_scalar_search(self):
+        calls = []
+        zero = derivative_fn(parse("x^4-x^2+1", 1), 5)
+
+        def fn(x):
+            if not isinstance(x, np.ndarray):
+                calls.append(x)
+            return zero(x)
+
+        rep = weighted_sup_norm(fn, WH, 5)
+        assert rep.value == 0.0 and not rep.refined
+        assert calls == []
+
+    def test_run_ends_are_still_refined(self):
+        xs = chebyshev_grid(self.GRID.points, 1e-12, 1e-12)
+        k = 150  # the plateau 1 ends at xs[k + 1]; a bump sits just left of it
+        a, b = float(xs[k]), float(xs[k + 1])
+
+        def fn(x):
+            x = np.asarray(x, dtype=float)
+            bump = 1.0 + 0.01 * np.clip((x - a) * (b - x), 0.0, None) / (b - a) ** 2
+            out = np.where(x <= a, 1.0, np.where(x <= b, bump, 1.0 - (x - b)))
+            return out if out.ndim else float(out)
+
+        rep = weighted_sup_norm(fn, W0, 0, self.GRID)
+        assert rep.refined and rep.value > 1.0 + 0.002
+        assert a < rep.argmax < b
+
+    def test_same_report_as_refining_every_candidate(self):
+        for src in ("x^4-x^2+1", "exp(x)", "sin(3*x)", "(1-x^2)^2.5", "1", "x^2"):
+            f = parse(src, 1)
+            for order in range(6):
+                for w in (W0, WH, JacobiWeight(0.25, 0.75)):
+                    fn = derivative_fn(f, order)
+                    rep = weighted_sup_norm(fn, w, order, self.GRID)
+                    expected = _sup_refining_every_candidate(fn, w, order, self.GRID)
+                    assert (rep.value, rep.argmax, rep.refined) == expected, (src, order, w)
 
 
 class TestRefineMax:
