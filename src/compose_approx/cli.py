@@ -146,9 +146,9 @@ def _cmd_bell(args, settings: Settings) -> int:
     if args.k is None:
         print(bell_number(args.r))
         return 0
-    value = incomplete_bell_ones(args.r, args.k)
-    print(value)
-    for coeff, counts in _bell_terms(args.r, args.k):
+    terms = _bell_terms(args.r, args.k)  # checks the order cap first
+    print(incomplete_bell_ones(args.r, args.k))
+    for coeff, counts in terms:
         monomial = " ".join(
             f"x{i}^{k}" for i, k in enumerate(counts, start=1) if k
         )

@@ -89,23 +89,35 @@ class CompositionMatrix:
         return self.base.block_count
 
 
-def _partition_counts(r: int) -> Iterator[tuple[int, ...]]:
-    """Yield (k_1..k_r) with sum(i*k_i)=r in ascending lexicographic order."""
+def _check_order(r: int, max_order: int) -> None:
+    if r > max_order:
+        raise ResourceLimitError(
+            f"order {r} exceeds the enumeration cap max_order={max_order}"
+        )
 
-    def rec(prefix: list[int], i: int, remaining: int):
-        if i == r:
-            # last position: k_r is forced
-            if remaining % i == 0:
-                yield tuple(prefix + [remaining // i])
+
+def _partition_counts(r: int, parts: int | None = None) -> Iterator[tuple[int, ...]]:
+    """Yield (k_1..k_r) with sum(i*k_i)=r in ascending lexicographic order;
+    with `parts`, only those with sum(k_i) == parts.
+
+    A branch is entered only if its remainder can still be made of larger
+    parts (with `parts`: of exactly as many as are still owed), so every
+    branch ends in an output and pruning keeps the order.
+    """
+
+    def rec(prefix: list[int], i: int, remaining: int, left: int | None):
+        if remaining == 0:
+            yield tuple(prefix) + (0,) * (r - len(prefix))
             return
-        # A remainder in 1..i cannot be reached using parts of size > i.
-        for k in range(0, remaining // i + 1):
+        for k in range(remaining // i + 1):
             rest = remaining - i * k
-            if 0 < rest <= i:
-                continue
-            yield from rec(prefix + [k], i + 1, rest)
+            if left is None:
+                if rest == 0 or rest > i:
+                    yield from rec(prefix + [k], i + 1, rest, None)
+            elif rest == left - k == 0 or 0 < (left - k) * (i + 1) <= rest:
+                yield from rec(prefix + [k], i + 1, rest, left - k)
 
-    yield from rec([], 1, r)
+    yield from rec([], 1, r, parts)
 
 
 def enumerate_partition_vectors(
@@ -117,10 +129,7 @@ def enumerate_partition_vectors(
     """
     if r < 1:
         raise ValueError(f"order must be positive, got {r}")
-    if r > max_order:
-        raise ResourceLimitError(
-            f"order {r} exceeds the enumeration cap max_order={max_order}"
-        )
+    _check_order(r, max_order)
     return [PartitionVector(c) for c in _partition_counts(r)]
 
 
@@ -163,12 +172,13 @@ def _bell_terms(r: int, k: int) -> Iterator[tuple[int, tuple[int, ...]]]:
     """Integer coefficient and multiplicities for each term of B_{r,k}.
 
     The coefficient r! / (prod k_i! * prod (i!)^k_i) counts set partitions of
-    an r-set with the given block-size multiplicities, hence is exact.
+    an r-set with the given block-size multiplicities, hence is exact. The
+    order cap is checked on the call, before any term is enumerated.
     """
+    _check_order(r, DEFAULT_MAX_ORDER)
     r_fact = math.factorial(r)
-    for pv in _partition_counts(r):
-        if sum(pv) != k:
-            continue
+
+    def coefficient(pv: tuple[int, ...]) -> int:
         denom = 1
         for i, k_i in enumerate(pv, start=1):
             if k_i:
@@ -176,7 +186,9 @@ def _bell_terms(r: int, k: int) -> Iterator[tuple[int, tuple[int, ...]]]:
         coeff, rem = divmod(r_fact, denom)
         if rem:  # cannot happen: the quotient is a partition count
             raise ArithmeticError("non-integer Bell coefficient")
-        yield coeff, pv
+        return coeff
+
+    return ((coefficient(pv), pv) for pv in _partition_counts(r, k))
 
 
 def incomplete_bell(r: int, k: int, x: Sequence[float]) -> float:
@@ -224,10 +236,7 @@ def bell_number(r: int, *, max_order: int = DEFAULT_MAX_ORDER) -> int:
     """
     if r < 1:
         raise ValueError(f"order must be positive, got {r}")
-    if r > max_order:
-        raise ResourceLimitError(
-            f"order {r} exceeds the enumeration cap max_order={max_order}"
-        )
+    _check_order(r, max_order)
     row = [1]
     for _ in range(r - 1):
         nxt = [row[-1]]

@@ -320,44 +320,38 @@ def _is_jet(v) -> bool:
     return isinstance(v, (Jet1, JetN))
 
 
-def _apply_unary(op: str, v, node: ExprAst, names: Sequence[str]):
+def _apply_unary(op: str, v):
     if op == "neg":
         return -v
     if _is_jet(v):
-        try:
-            return getattr(v, op)()
-        except EvalDomainError as err:
-            if err.expr is None:
-                raise EvalDomainError(err.fn, err.value, to_string(node, names)) from None
-            raise
+        return getattr(v, op)()
     if op == "log" and np.any(np.asarray(v) <= 0):
-        raise EvalDomainError("log", v, to_string(node, names))
+        raise EvalDomainError("log", v)
     if op == "sqrt" and np.any(np.asarray(v) < 0):
-        raise EvalDomainError("sqrt", v, to_string(node, names))
+        raise EvalDomainError("sqrt", v)
     return _SCALAR_FNS[op](v)
 
 
-def _apply_power(base, e: float, node: ExprAst, names: Sequence[str]):
+def _apply_power(base, e: float):
     if _is_jet(base):
-        try:
-            return base ** e
-        except EvalDomainError as err:
-            if err.expr is None:
-                raise EvalDomainError(err.fn, err.value, to_string(node, names)) from None
-            raise
+        return base ** e
     b = np.asarray(base)
     if not float(e).is_integer():
         if np.any(b < 0):
-            raise EvalDomainError(f"power {e}", base, to_string(node, names))
+            raise EvalDomainError(f"power {e}", base)
         if e < 0 and np.any(b == 0):
-            raise EvalDomainError(f"power {e}", base, to_string(node, names))
+            raise EvalDomainError(f"power {e}", base)
     elif e < 0 and np.any(b == 0):
-        raise EvalDomainError(f"power {e}", base, to_string(node, names))
+        raise EvalDomainError(f"power {e}", base)
     return base ** e
 
 
 def eval_expr(node: ExprAst, values: Sequence, names: Sequence[str] | None = None):
-    """Evaluate over any value type supporting arithmetic (floats, jets)."""
+    """Evaluate over any value type supporting arithmetic (floats, jets).
+
+    A domain error is raised naming the subexpression whose own operation
+    failed, whether on floats, arrays or jets.
+    """
     if names is None:
         names = default_names(len(values))
     if isinstance(node, Const):
@@ -369,24 +363,28 @@ def eval_expr(node: ExprAst, values: Sequence, names: Sequence[str] | None = Non
                 f"{len(values)} values were supplied"
             )
         return values[node.index]
-    if isinstance(node, Unary):
-        return _apply_unary(node.op, eval_expr(node.arg, values, names), node, names)
-    if isinstance(node, Binary):
-        left = eval_expr(node.left, values, names)
-        right = eval_expr(node.right, values, names)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
-        if _is_jet(left) or _is_jet(right):
+    try:
+        if isinstance(node, Unary):
+            return _apply_unary(node.op, eval_expr(node.arg, values, names))
+        if isinstance(node, Binary):
+            left = eval_expr(node.left, values, names)
+            right = eval_expr(node.right, values, names)
+            if node.op == "+":
+                return left + right
+            if node.op == "-":
+                return left - right
+            if node.op == "*":
+                return left * right
+            if not (_is_jet(left) or _is_jet(right)) and np.any(np.asarray(right) == 0):
+                raise EvalDomainError("division", right)
             return left / right
-        if np.any(np.asarray(right) == 0):
-            raise EvalDomainError("division", right, to_string(node, names))
-        return left / right
-    if isinstance(node, Power):
-        return _apply_power(eval_expr(node.base, values, names), node.exponent, node, names)
+        if isinstance(node, Power):
+            return _apply_power(eval_expr(node.base, values, names), node.exponent)
+    except EvalDomainError as err:
+        # an error from a subexpression already names it
+        if err.expr is None:
+            raise EvalDomainError(err.fn, err.value, to_string(node, names)) from None
+        raise
     raise TypeError(f"not an expression node: {node!r}")
 
 

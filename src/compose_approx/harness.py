@@ -224,6 +224,17 @@ class CompositeCheck:
         }
 
 
+def _bound_rhs(f, g, r, box, g_weight, grid):
+    """n^r B_r ||f|| prod ||g_j||^{s_j} with the norms it is built from,
+    each g_j normed under `g_weight`: (f_norm, g_norms, selector, B_r, rhs)."""
+    f_norm = multivariate_sobolev_norm(f, r, box, grid)
+    g_norms = tuple(sobolev_norm(g_j, r, g_weight, grid) for g_j in g)
+    sel = select_exponents(g_norms, r)
+    bell = bell_number(r)
+    rhs = float(len(g)) ** r * bell * f_norm * sel.norm_product
+    return f_norm, g_norms, sel, bell, rhs
+
+
 def verify_composite_bound(
     f: ExprAst,
     g: Sequence[ExprAst],
@@ -254,11 +265,7 @@ def verify_composite_bound(
         return composite_jet(f, g, x, r, start=r)[0]
 
     lhs = weighted_sup_norm(high_deriv, w.power(r), r, grid).value
-    f_norm = multivariate_sobolev_norm(f, r, box, grid)
-    g_norms = tuple(sobolev_norm(g_j, r, w, grid) for g_j in g)
-    sel = select_exponents(g_norms, r)
-    bell = bell_number(r)
-    rhs = float(n) ** r * bell * f_norm * sel.norm_product
+    f_norm, g_norms, sel, bell, rhs = _bound_rhs(f, g, r, box, w, grid)
     return CompositeCheck(
         f_src=to_string(f, arity=n),
         g_srcs=tuple(to_string(g_j) for g_j in g),
@@ -369,7 +376,6 @@ def verify_rate(
         raise ValueError(f"smallest degree {ms[0]} must be at least r={r}")
     require_lemma_range(w)
     n = len(g)
-    root = w.root(r)
 
     xs = remez_grid(w, opts)
     fvals = np.asarray(composite_value(f, g, xs), dtype=float)
@@ -377,11 +383,7 @@ def verify_rate(
     noise_floor = NOISE_FLOOR_FACTOR * np.finfo(float).eps * scale
 
     box = measured_box(g, xs)
-    f_norm = multivariate_sobolev_norm(f, r, box, grid)
-    g_norms = tuple(sobolev_norm(g_j, r, root, grid) for g_j in g)
-    sel = select_exponents(g_norms, r)
-    bell = bell_number(r)
-    bound_rhs = float(n) ** r * bell * f_norm * sel.norm_product
+    f_norm, g_norms, sel, bell, bound_rhs = _bound_rhs(f, g, r, box, w.root(r), grid)
 
     errors, leveled, converged, floored, ratios = [], [], [], [], []
     for m in ms:

@@ -9,6 +9,11 @@ composite-derivative formulas.
 Coefficients may be Python floats or numpy arrays of a common shape; in the
 array case every recurrence runs elementwise, which evaluates a derivative on
 a whole sampling grid in one pass.
+
+Jet1 alone holds the recurrences and domain checks of the elementary
+functions. The multivariate JetN takes each function's univariate series at
+its value from Jet1 and composes it with its displacement through the Horner
+routine of `jet_compose`; its own arithmetic is a sparse polynomial product.
 """
 
 from __future__ import annotations
@@ -39,6 +44,8 @@ class Jet1:
     """Univariate truncated Taylor expansion with normalized coefficients."""
 
     __slots__ = ("coeffs",)
+    # numpy defers `ndarray (op) jet` to the jet's reflected operator
+    __array_ufunc__ = None
 
     def __init__(self, coeffs: Sequence):
         coeffs = tuple(coeffs)
@@ -152,27 +159,14 @@ class Jet1:
         if isinstance(exponent, Jet1):
             raise EvalDomainError("power", exponent, "exponent must be constant")
         e = float(exponent)
-        if _is_integer(e):
-            return self._int_pow(int(e))
         a0 = self.coeffs[0]
+        if _is_integer(e):
+            if e < 0 and _any(a0 == 0):
+                raise EvalDomainError(f"power {int(e)}", a0)
+            return _int_power(self, int(e))
         if _any(a0 <= 0):
             raise EvalDomainError(f"power {e}", a0)
         return self._pow_recurrence(e)
-
-    def _int_pow(self, e: int) -> "Jet1":
-        if e < 0:
-            if _any(self.coeffs[0] == 0):
-                raise EvalDomainError(f"power {e}", self.coeffs[0])
-            return Jet1.constant(1.0, self.order) / self._int_pow(-e)
-        result = Jet1.constant(1.0, self.order)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
 
     def _pow_recurrence(self, e: float) -> "Jet1":
         a = self.coeffs
@@ -251,11 +245,27 @@ def jet_compose(outer: Jet1, inner: Jet1) -> Jet1:
         raise ValueError(
             f"jet order mismatch: outer {outer.order} vs inner {inner.order}"
         )
-    shifted = Jet1((0.0,) + inner.coeffs[1:])
-    acc = Jet1.constant(outer.coeffs[-1], inner.order)
-    for i in range(outer.order - 1, -1, -1):
-        acc = acc * shifted + outer.coeffs[i]
+    return _horner(outer.coeffs, Jet1((0.0,) + inner.coeffs[1:]))
+
+
+def _horner(series: Sequence, u):
+    """sum_i series[i] * u**i for a Jet1 or JetN u, by Horner's scheme."""
+    acc = u._coerce(series[-1])
+    for c in reversed(series[:-1]):
+        acc = acc * u + c
     return acc
+
+
+def _int_power(base, e: int):
+    """base**e for a Jet1 or JetN base by repeated squaring; 1 / base**-e if e < 0."""
+    result, square, k = base._coerce(1.0), base, abs(e)
+    while k:
+        if k & 1:
+            result = result * square
+        k >>= 1
+        if k:
+            square = square * square
+    return result if e >= 0 else 1.0 / result
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +307,7 @@ class JetN:
     """
 
     __slots__ = ("order", "dim", "coeffs")
+    __array_ufunc__ = None
 
     def __init__(self, order: int, dim: int, coeffs: Mapping[tuple[int, ...], object]):
         if order < 0 or dim < 1:
@@ -319,11 +330,8 @@ class JetN:
 
     @staticmethod
     def variable(value, j: int, order: int, dim: int) -> "JetN":
-        zero = (0,) * dim
-        if order == 0:
-            return JetN(order, dim, {zero: value})
         unit = tuple(1 if i == j else 0 for i in range(dim))
-        return JetN(order, dim, {zero: value, unit: 1.0})
+        return JetN(order, dim, {(0,) * dim: value, unit: 1.0})
 
     # -- inspection --------------------------------------------------------
 
@@ -403,11 +411,7 @@ class JetN:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a0 = o.value
-        if _any(a0 == 0):
-            raise EvalDomainError("division", a0)
-        inv_series = _power_series(a0, -1.0, self.order)
-        return self * o._compose_series(inv_series)
+        return self * o._through(lambda t: 1.0 / t)
 
     def __rtruediv__(self, other):
         return JetN.constant(other, self.order, self.dim).__truediv__(self)
@@ -417,87 +421,33 @@ class JetN:
             raise EvalDomainError("power", exponent, "exponent must be constant")
         e = float(exponent)
         if _is_integer(e):
-            return self._int_pow(int(e))
-        a0 = self.value
-        if _any(a0 <= 0):
-            raise EvalDomainError(f"power {e}", a0)
-        return self._compose_series(_power_series(a0, e, self.order))
+            return _int_power(self, int(e))
+        return self._through(lambda t: t ** e)
 
-    def _int_pow(self, e: int) -> "JetN":
-        if e < 0:
-            return 1.0 / self._int_pow(-e)
-        result = JetN.constant(1.0, self.order, self.dim)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
-
-    def _compose_series(self, series: list) -> "JetN":
-        """Evaluate an outer univariate Taylor series at (self - value)."""
-        shifted = dict(self.coeffs)
-        shifted.pop((0,) * self.dim, None)
-        u = JetN(self.order, self.dim, shifted)
-        acc = JetN.constant(series[-1], self.order, self.dim)
-        for i in range(len(series) - 2, -1, -1):
-            acc = acc * u + series[i]
-        return acc
+    def _through(self, fn) -> "JetN":
+        """fn∘self: the univariate series of fn at the value, taken from Jet1
+        (which also checks fn's domain), composed with self - value."""
+        series = fn(Jet1.variable(self.value, self.order)).coeffs
+        zero = (0,) * self.dim
+        shifted = {ix: v for ix, v in self.coeffs.items() if ix != zero}
+        return _horner(series, JetN(self.order, self.dim, shifted))
 
     # -- elementary functions ---------------------------------------------
 
     def exp(self) -> "JetN":
-        a0 = self.value
-        e0 = np.exp(a0)
-        series = [e0 / math.factorial(i) for i in range(self.order + 1)]
-        return self._compose_series(series)
+        return self._through(Jet1.exp)
 
     def log(self) -> "JetN":
-        a0 = self.value
-        if _any(a0 <= 0):
-            raise EvalDomainError("log", a0)
-        series = [np.log(a0)]
-        for i in range(1, self.order + 1):
-            series.append(((-1.0) ** (i + 1)) / (i * np.power(a0, float(i))))
-        return self._compose_series(series)
+        return self._through(Jet1.log)
 
     def sqrt(self) -> "JetN":
-        a0 = self.value
-        if _any(a0 <= 0):
-            raise EvalDomainError("sqrt", a0)
-        return self._compose_series(_power_series(a0, 0.5, self.order))
+        return self._through(Jet1.sqrt)
 
     def sin(self) -> "JetN":
-        a0 = self.value
-        series = [
-            np.sin(a0 + i * math.pi / 2.0) / math.factorial(i)
-            for i in range(self.order + 1)
-        ]
-        return self._compose_series(series)
+        return self._through(Jet1.sin)
 
     def cos(self) -> "JetN":
-        a0 = self.value
-        series = [
-            np.cos(a0 + i * math.pi / 2.0) / math.factorial(i)
-            for i in range(self.order + 1)
-        ]
-        return self._compose_series(series)
-
-
-def _power_series(a0, e: float, order: int) -> list:
-    """Normalized Taylor coefficients of y^e at a0: binom(e, i) * a0^(e-i)."""
-    series = [np.power(a0, e)]
-    for i in range(1, order + 1):
-        series.append(series[-1] * ((e - (i - 1)) / i) / a0)
-    return series
-
-
-def jetn_from_values(values: Sequence, order: int) -> list[JetN]:
-    """Variable seeds for an n-point: one JetN per coordinate."""
-    dim = len(values)
-    return [JetN.variable(v, j, order, dim) for j, v in enumerate(values)]
+        return self._through(Jet1.cos)
 
 
 def jetn_partials(
@@ -529,7 +479,7 @@ def jetn_partials(
 
         jet = eval_jet1(f, Jet1.variable(y0[0], order))
         return JetN(order, 1, {(i,): c for i, c in enumerate(jet.coeffs)})
-    seeds = jetn_from_values(list(y0), order)
+    seeds = [JetN.variable(v, j, order, n) for j, v in enumerate(y0)]
     result = eval_expr(f, seeds)
     if not isinstance(result, JetN):  # constant expression
         result = JetN.constant(result, order, n)

@@ -66,19 +66,25 @@ def _partitions(n: int, largest: int | None = None):
             yield [part] + rest
 
 
-def stirling_by_partition_sum(r: int, k: int) -> int:
-    """S(r, k) as the sum of r! / prod(k_i! (i!)^k_i) over the partitions of
-    r into k parts, k_i counting the parts of size i."""
-    total = 0
+def bell_terms_filtered(r: int, k: int) -> list[tuple[int, tuple[int, ...]]]:
+    """Terms of B_{r,k} as (r! / prod(k_i! (i!)^k_i), (k_1..k_r)), k_i
+    counting the parts of size i: every partition of r, filtered to those
+    with k parts, listed with ascending (k_1..k_r)."""
+    out = []
     for parts in _partitions(r):
         if len(parts) != k:
             continue
+        counts = tuple(parts.count(i) for i in range(1, r + 1))
         denom = 1
-        for i in set(parts):
-            k_i = parts.count(i)
+        for i, k_i in enumerate(counts, start=1):
             denom *= math.factorial(k_i) * math.factorial(i) ** k_i
-        total += math.factorial(r) // denom
-    return total
+        out.append((math.factorial(r) // denom, counts))
+    return sorted(out, key=lambda term: term[1])
+
+
+def stirling_by_partition_sum(r: int, k: int) -> int:
+    """S(r, k) as the sum of the coefficients of B_{r,k}."""
+    return sum(coeff for coeff, _ in bell_terms_filtered(r, k))
 
 
 def bell_count(n: int) -> int:

@@ -1,11 +1,12 @@
 import json
+import time
 
 import pytest
 
 from compose_approx.cli import main
 from compose_approx.expr import MAX_DEPTH
 
-from oracles import bell_count
+from oracles import bell_count, set_partition_count
 
 
 def run_cli(capsys, *argv):
@@ -119,8 +120,11 @@ class TestErrorsAndExitCodes:
             ("verify", "rate", "--f", "y1", "--g", "x", "--r", "1",
              "--ms", "4,1000000000000"),
             ("--grid", "65537", "bestapprox", "--f", "x", "--m", "65536"),
+            ("bell", "65", "3"),
+            ("bell", "200", "2"),
         ],
-        ids=["grid-huge", "grid-small", "m-huge", "ms-range", "ms-list", "m-past-grid"],
+        ids=["grid-huge", "grid-small", "m-huge", "ms-range", "ms-list", "m-past-grid",
+             "bell-terms-past-cap", "bell-terms-far-past-cap"],
     )
     def test_caps_exit_two_before_allocating(self, capsys, argv):
         code, _, err = run_cli(capsys, *argv)
@@ -138,6 +142,23 @@ class TestErrorsAndExitCodes:
         code, out, _ = run_cli(capsys, "bell", "64")
         assert code == 0
         assert int(out) == bell_count(64)
+
+    def test_bell_terms_at_the_order_cap(self, capsys):
+        t0 = time.perf_counter()
+        code, out, _ = run_cli(capsys, "bell", "64", "3")
+        assert time.perf_counter() - t0 < 0.5
+        assert code == 0
+        lines = out.splitlines()
+        # S(64, 3) and one line per partition of 64 into 3 parts
+        assert int(lines[0]) == set_partition_count(64, 3)
+        assert len(lines) == 342
+
+    def test_jet_division_error_names_subexpression(self, capsys):
+        code, _, err = run_cli(
+            capsys, "faa", "--f", "y2/y1", "--g", "sin(x),cos(x)", "--x0", "0", "--r", "3"
+        )
+        assert code == 2
+        assert "division" in err and "in 'y2/y1'" in err
 
     def test_domain_error_exit_two(self, capsys):
         code, _, err = run_cli(capsys, "bestapprox", "--f", "log(x)", "--m", "3")

@@ -9,6 +9,7 @@ from compose_approx.combinatorics import (
     DEFAULT_MAX_ORDER,
     CompositionMatrix,
     PartitionVector,
+    _bell_terms,
     bell_number,
     enumerate_composition_matrices,
     enumerate_partition_vectors,
@@ -20,6 +21,7 @@ from compose_approx.errors import ResourceLimitError
 
 from oracles import (
     bell_count,
+    bell_terms_filtered,
     partition_count_brute,
     set_partition_count_enum,
     stirling_by_partition_sum,
@@ -143,6 +145,17 @@ class TestIncompleteBell:
         scaled = incomplete_bell(r, k, [c * v for v in x])
         direct = (c**k) * incomplete_bell(r, k, x)
         assert abs(scaled - direct) <= 1e-12 * max(1.0, abs(scaled), abs(direct))
+
+
+class TestBellTerms:
+    def test_match_filtered_enumeration(self):
+        for r in range(1, 21):
+            for k in range(1, r + 1):
+                assert list(_bell_terms(r, k)) == bell_terms_filtered(r, k)
+
+    def test_cap_checked_before_the_first_term(self):
+        with pytest.raises(ResourceLimitError):
+            _bell_terms(DEFAULT_MAX_ORDER + 1, 3)
 
 
 class TestBellNumbers:

@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from compose_approx.errors import EvalDomainError, ResourceLimitError
 from compose_approx.expr import eval_jet1, eval_jetn, eval_scalar, parse
-from compose_approx.jets import Jet1, jet_compose, jet_lift, jetn_partials
+from compose_approx.jets import Jet1, JetN, jet_compose, jet_lift, jetn_partials
 
 from oracles import central_diff_1, central_diff_2, rel_err
 
@@ -216,3 +217,27 @@ class TestVectorizedCoefficients:
         p = jn.partials_map()
         assert np.allclose(p[(0, 0)], y1 * np.exp(y2))
         assert np.allclose(p[(1, 1)], np.exp(y2))
+
+
+class TestArrayOnTheLeft:
+    """numpy defers `ndarray (op) jet` to the jet's reflected operator, so an
+    array on the left gives the same jet as a constant jet on the left."""
+
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv])
+    def test_matches_jet_on_the_left(self, op):
+        xs = np.array([0.1, 0.2, 0.3])
+        cs = np.array([2.0, 3.0, 4.0])
+        jn = jetn_partials(parse("exp(y1)*y2+1", 2), (xs, xs + 1.0), 2)
+        for jet, constant in (
+            (jet_lift(xs, 2), Jet1.constant(cs, 2)),
+            (jn, JetN.constant(cs, 2, 2)),
+        ):
+            got, want = op(cs, jet), op(constant, jet)
+            assert type(got) is type(jet)
+            if isinstance(jet, Jet1):
+                pairs = zip(got.coeffs, want.coeffs)
+            else:
+                assert got.coeffs.keys() == want.coeffs.keys()
+                pairs = ((got.coeffs[ix], want.coeffs[ix]) for ix in want.coeffs)
+            for a, b in pairs:
+                assert np.array_equal(a, b)
