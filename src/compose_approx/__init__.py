@@ -18,7 +18,7 @@ from .errors import (
     ResourceLimitError,
     SingularSystemError,
 )
-from .expr import ExprAst, eval_jet1, eval_jetn, eval_scalar, parse, to_string
+from .expr import ExprAst, eval_jet1, eval_scalar, parse, to_string
 from .faadibruno import (
     composite_derivative_1d,
     composite_derivative_nd,

@@ -78,13 +78,15 @@ class Settings:
         self.out = Path(args.out if args.out is not None else cfg.get("out", "reports"))
         self.seed = int(args.seed if args.seed is not None else cfg.get("seed", 0))
         self.strict = bool(args.strict)
-        self.max_iter = int(getattr(args, "max_iter", 60) or 60)
+        self.max_iter = getattr(args, "max_iter", 60)
         if not MIN_GRID_POINTS <= self.grid_points <= MAX_GRID_POINTS:
             raise ValueError(
                 f"--grid must be between {MIN_GRID_POINTS} and {MAX_GRID_POINTS}"
             )
         if not 0 < self.tol < 1:
             raise ValueError("--tol must be in (0, 1)")
+        if self.max_iter < 1:
+            raise ValueError("--max-iter must be at least 1")
 
     @property
     def grid(self) -> GridConfig:
@@ -97,7 +99,6 @@ class Settings:
             grid_points=max(8193, self.grid_points),
             tol=self.tol,
             max_iter=self.max_iter,
-            polish_max_iter=min(10, self.max_iter),
         )
 
     def check_degree(self, m: int) -> None:
@@ -232,7 +233,7 @@ def _cmd_verify(args, settings: Settings) -> int:
         gs = _parse_exprs(args.g)
         f = parse(args.f, len(gs), _outer_names(len(gs)))
         box = None
-        if args.box:
+        if args.box:  # checked by verify_composite_bound before any evaluation
             box = [
                 tuple(float(v) for v in part.split(":"))
                 for part in args.box.split(",")

@@ -17,7 +17,7 @@ from typing import Iterator, Sequence
 from .errors import ResourceLimitError
 
 # Enumeration is exponential in the order; these caps keep worst-case runs at
-# desk scale and can be overridden per call.
+# desk scale.
 DEFAULT_MAX_ORDER = 64
 DEFAULT_MAX_MATRICES = 10_000_000
 
@@ -89,10 +89,10 @@ class CompositionMatrix:
         return self.base.block_count
 
 
-def _check_order(r: int, max_order: int) -> None:
-    if r > max_order:
+def _check_order(r: int) -> None:
+    if r > DEFAULT_MAX_ORDER:
         raise ResourceLimitError(
-            f"order {r} exceeds the enumeration cap max_order={max_order}"
+            f"order {r} exceeds the enumeration cap max_order={DEFAULT_MAX_ORDER}"
         )
 
 
@@ -120,16 +120,14 @@ def _partition_counts(r: int, parts: int | None = None) -> Iterator[tuple[int, .
     yield from rec([], 1, r, parts)
 
 
-def enumerate_partition_vectors(
-    r: int, *, max_order: int = DEFAULT_MAX_ORDER
-) -> list[PartitionVector]:
+def enumerate_partition_vectors(r: int) -> list[PartitionVector]:
     """All multiplicity vectors of order r, lexicographically ascending.
 
     The list length equals the partition function p(r).
     """
     if r < 1:
         raise ValueError(f"order must be positive, got {r}")
-    _check_order(r, max_order)
+    _check_order(r)
     return [PartitionVector(c) for c in _partition_counts(r)]
 
 
@@ -145,10 +143,7 @@ def _compositions(total: int, parts: int) -> list[tuple[int, ...]]:
 
 
 def enumerate_composition_matrices(
-    p: PartitionVector,
-    n: int,
-    *,
-    max_matrices: int = DEFAULT_MAX_MATRICES,
+    p: PartitionVector, n: int
 ) -> list[CompositionMatrix]:
     """All matrices distributing each multiplicity k_i over n columns.
 
@@ -160,9 +155,9 @@ def enumerate_composition_matrices(
     count = 1
     for k_i in p.counts:
         count *= math.comb(k_i + n - 1, n - 1)
-        if count > max_matrices:
+        if count > DEFAULT_MAX_MATRICES:
             raise ResourceLimitError(
-                f"composition family larger than max_matrices={max_matrices}"
+                f"composition family larger than max_matrices={DEFAULT_MAX_MATRICES}"
             )
     row_choices = [_compositions(k_i, n) for k_i in p.counts]
     return [CompositionMatrix(p, rows) for rows in product(*row_choices)]
@@ -175,7 +170,7 @@ def _bell_terms(r: int, k: int) -> Iterator[tuple[int, tuple[int, ...]]]:
     an r-set with the given block-size multiplicities, hence is exact. The
     order cap is checked on the call, before any term is enumerated.
     """
-    _check_order(r, DEFAULT_MAX_ORDER)
+    _check_order(r)
     r_fact = math.factorial(r)
 
     def coefficient(pv: tuple[int, ...]) -> int:
@@ -228,7 +223,7 @@ def incomplete_bell_ones(r: int, k: int) -> int:
     return row[k]
 
 
-def bell_number(r: int, *, max_order: int = DEFAULT_MAX_ORDER) -> int:
+def bell_number(r: int) -> int:
     """Number of set partitions of an r-element set, exactly.
 
     Built with the Bell triangle: each row starts with the last entry of the
@@ -236,7 +231,7 @@ def bell_number(r: int, *, max_order: int = DEFAULT_MAX_ORDER) -> int:
     """
     if r < 1:
         raise ValueError(f"order must be positive, got {r}")
-    _check_order(r, max_order)
+    _check_order(r)
     row = [1]
     for _ in range(r - 1):
         nxt = [row[-1]]

@@ -14,7 +14,7 @@ non-integer) and binds tighter than unary minus, so "-x^2" is -(x^2).
 Expressions nest at most MAX_DEPTH levels.
 
 The same AST evaluates over plain numbers (or numpy arrays), univariate jets
-and multivariate jets; see `eval_scalar`, `eval_jet1`, `eval_jetn`.
+and multivariate jets; see `eval_scalar`, `eval_jet1` and `jets.jetn_partials`.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import EvalDomainError, ExprSyntaxError
-from .jets import Jet1, JetN, jetn_partials
+from .jets import Jet1, JetN
 
 # ---------------------------------------------------------------------------
 # AST
@@ -405,9 +405,3 @@ def eval_jet1(node: ExprAst, base: Jet1) -> Jet1:
     if not isinstance(result, Jet1):  # constant expression
         result = Jet1.constant(result, base.order)
     return result
-
-
-def eval_jetn(node: ExprAst, point: Sequence, order: int) -> JetN:
-    """Evaluate an n-variable AST as a multivariate jet at `point`; the same
-    as `jetn_partials`, whose dimension and order caps apply."""
-    return jetn_partials(node, point, order)

@@ -30,7 +30,6 @@ from .combinatorics import (
     DEFAULT_MAX_MATRICES,
     enumerate_composition_matrices,
     enumerate_partition_vectors,
-    incomplete_bell,
 )
 from .errors import ResourceLimitError
 from .jets import jet_lift, jetn_partials
@@ -45,19 +44,11 @@ def _kahan_add(total, comp, term):
     return t, comp
 
 
-def composite_derivative_1d(
-    f_derivs: Sequence,
-    g_derivs: Sequence,
-    r: int,
-    *,
-    method: str = "partition",
-) -> float:
+def composite_derivative_1d(f_derivs: Sequence, g_derivs: Sequence, r: int) -> float:
     """(f∘g)^(r)(x0) from f^(0..r) at g(x0) and g^(0..r) at x0.
 
-    method='partition' sums r!/(k_1!..k_r!) f^(k) prod (g^(i)/i!)^k_i over
-    all multiplicity vectors, as `composite_derivative_nd` with n = 1;
-    method='bell' uses the equivalent incomplete Bell polynomial form. Both
-    must agree to roundoff.
+    Sums r!/(k_1!..k_r!) f^(k) prod (g^(i)/i!)^k_i over all multiplicity
+    vectors, as `composite_derivative_nd` with n = 1.
     """
     if r < 1:
         raise ValueError(f"derivative order must be positive, got {r}")
@@ -66,14 +57,6 @@ def composite_derivative_1d(
             f"derivative sequences must have length r+1={r + 1}, got "
             f"{len(f_derivs)} and {len(g_derivs)}"
         )
-    if method == "bell":
-        total, comp = 0.0, 0.0
-        for k in range(1, r + 1):
-            bell = incomplete_bell(r, k, list(g_derivs[1 : r - k + 2]))
-            total, comp = _kahan_add(total, comp, f_derivs[k] * bell)
-        return total
-    if method != "partition":
-        raise ValueError(f"unknown method {method!r}")
     return composite_derivative_nd(
         {(k,): f_k for k, f_k in enumerate(f_derivs)}, [g_derivs], r, 1
     )

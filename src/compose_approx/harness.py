@@ -33,6 +33,7 @@ from .faadibruno import composite_jet, composite_value
 from .minimax import DEFAULT_REMEZ, RemezOptions, remez_from_values, remez_grid
 from .weighted import (
     DEFAULT_GRID,
+    ENDPOINT_MARGIN,
     GridConfig,
     JacobiWeight,
     derivative_fn,
@@ -176,6 +177,21 @@ def measured_box(
     return box
 
 
+def _checked_box(box, n):
+    """A declared box as float pairs: one axis per inner function, each with
+    finite ends lo < hi."""
+    if len(box) != n:
+        raise ValueError(f"box has {len(box)} axes for {n} inner functions")
+    out = [tuple(map(float, axis)) for axis in box]
+    for j, axis in enumerate(out, start=1):
+        if len(axis) != 2 or not -math.inf < axis[0] < axis[1] < math.inf:
+            raise ValueError(
+                f"box axis {j} must be lo:hi with finite lo < hi, got "
+                + ":".join(map(repr, axis))
+            )
+    return out
+
+
 def _check_image_in_box(g, xs, box):
     for j, (g_j, (lo, hi)) in enumerate(zip(g, box), start=1):
         vals = np.asarray(eval_scalar(g_j, xs), dtype=float)
@@ -227,7 +243,7 @@ class CompositeCheck:
 def _bound_rhs(f, g, r, box, g_weight, grid):
     """n^r B_r ||f|| prod ||g_j||^{s_j} with the norms it is built from,
     each g_j normed under `g_weight`: (f_norm, g_norms, selector, B_r, rhs)."""
-    f_norm = multivariate_sobolev_norm(f, r, box, grid)
+    f_norm = multivariate_sobolev_norm(f, r, box)
     g_norms = tuple(sobolev_norm(g_j, r, g_weight, grid) for g_j in g)
     sel = select_exponents(g_norms, r)
     bell = bell_number(r)
@@ -253,12 +269,13 @@ def verify_composite_bound(
         raise ValueError(f"order must be positive, got {r}")
     require_lemma_range(w)
     n = len(g)
-    margin = DEFAULT_REMEZ.endpoint_margin
-    probe = chebyshev_grid(DEFAULT_REMEZ.grid_points, margin, margin)  # interior points
+    if box is not None:
+        box = _checked_box(box, n)
+    # the image of g is probed on interior points of [-1, 1]
+    probe = chebyshev_grid(DEFAULT_REMEZ.grid_points, ENDPOINT_MARGIN, ENDPOINT_MARGIN)
     if box is None:
         box = measured_box(g, probe)
     else:
-        box = [tuple(map(float, b)) for b in box]
         _check_image_in_box(g, probe, box)
 
     def high_deriv(x):

@@ -450,14 +450,7 @@ class JetN:
         return self._through(Jet1.cos)
 
 
-def jetn_partials(
-    f,
-    y0: Sequence,
-    order: int,
-    *,
-    max_dim: int = DEFAULT_MAX_DIM,
-    max_order: int = DEFAULT_MAX_ORDER,
-) -> JetN:
+def jetn_partials(f, y0: Sequence, order: int) -> JetN:
     """All mixed partials of an expression at y0, to total order `order`.
 
     `f` is an ExprAst over len(y0) variables; evaluation runs in truncated
@@ -466,10 +459,10 @@ def jetn_partials(
     from .expr import eval_expr  # local import to avoid a cycle
 
     n = len(y0)
-    if n > max_dim or order > max_order:
+    if n > DEFAULT_MAX_DIM or order > DEFAULT_MAX_ORDER:
         raise ResourceLimitError(
-            f"jetn_partials cap exceeded: dim {n} > {max_dim} or "
-            f"order {order} > {max_order}"
+            f"jetn_partials cap exceeded: dim {n} > {DEFAULT_MAX_DIM} or "
+            f"order {order} > {DEFAULT_MAX_ORDER}"
         )
     if order < 0:
         raise ValueError("order must be nonnegative")

@@ -29,6 +29,7 @@ from .errors import EvaluationError, SingularSystemError
 from .expr import ExprAst
 from .weighted import (
     DEFAULT_GRID,
+    ENDPOINT_MARGIN,
     GridConfig,
     JacobiWeight,
     chebyshev_grid,
@@ -59,13 +60,17 @@ class ChebPoly:
         return npcheb.chebval(x, self.coeffs)
 
 
+# The off-grid polish re-solves at most min(POLISH_MAX_ITER, max_iter) times.
+POLISH_MAX_ITER = 10
+
+
 @dataclass(frozen=True)
 class RemezOptions:
+    """Exchange grid size, relative bracket tolerance and iteration cap."""
+
     grid_points: int = 8193
     tol: float = 1e-10
     max_iter: int = 60
-    endpoint_margin: float = 1e-12
-    polish_max_iter: int = 10
 
 
 DEFAULT_REMEZ = RemezOptions()
@@ -93,11 +98,10 @@ class ApproxReport:
 def remez_grid(w: JacobiWeight, opts: RemezOptions = DEFAULT_REMEZ) -> np.ndarray:
     """Ascending Chebyshev-spaced sampling grid, endpoints pulled inward
     where the weight vanishes (so singular-but-integrable f stays finite)."""
-    margin = opts.endpoint_margin
     return chebyshev_grid(
         opts.grid_points,
-        margin if w.delta > 0 else 0.0,
-        margin if w.gamma > 0 else 0.0,
+        ENDPOINT_MARGIN if w.delta > 0 else 0.0,
+        ENDPOINT_MARGIN if w.gamma > 0 else 0.0,
     )
 
 
@@ -212,23 +216,15 @@ def remez_from_values(
         raise ValueError("grid too coarse for the requested degree")
 
     best: tuple | None = None
-    converged = False
-    degenerate = False
-    iterations = 0
     for iterations in range(1, max(1, opts.max_iter) + 1):
         coeffs, h = _alternation_solve(xs[ref_idx], fu[ref_idx], uvals[ref_idx], m)
         e = fu - npcheb.chebval(xs, coeffs) * uvals
         e_up = float(np.max(np.abs(e)))
-        if best is None or e_up < best[0]:
+        degenerate = e_up <= 1e-13 * scale  # f is (numerically) already in P_m
+        converged = degenerate or e_up - abs(h) <= max(opts.tol * e_up, noise)
+        if converged or best is None or e_up < best[0]:
             best = (e_up, coeffs, abs(h), ref_idx.copy(), e)
-        if e_up <= 1e-13 * scale:  # f is (numerically) already in P_m
-            best = (e_up, coeffs, abs(h), ref_idx.copy(), e)
-            converged = True
-            degenerate = True
-            break
-        if e_up - abs(h) <= max(opts.tol * e_up, noise):
-            best = (e_up, coeffs, abs(h), ref_idx.copy(), e)
-            converged = True
+        if converged:
             break
         cand = _extrema_candidates(e)
         if len(cand) < m + 2:
@@ -283,7 +279,7 @@ def _polish(
     coeffs = None
     h = 0.0
     values = None
-    for _ in range(max(1, opts.polish_max_iter)):
+    for _ in range(max(1, min(POLISH_MAX_ITER, opts.max_iter))):
         u_ref = weight_eval(w, refs)
         f_ref = np.array([float(f(float(x))) for x in refs])
         try:

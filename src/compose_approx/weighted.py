@@ -45,10 +45,6 @@ class JacobiWeight:
     def root(self, r: int) -> "JacobiWeight":
         return self.power(1.0 / r)
 
-    @property
-    def trivial(self) -> bool:
-        return self.gamma == 0.0 and self.delta == 0.0
-
     def __call__(self, x):
         return weight_eval(self, x)
 
@@ -86,26 +82,25 @@ def require_lemma_range(w: JacobiWeight):
         )
 
 
+# Sampled ends of [-1, 1] are pulled inward by this much, so that a function
+# singular at an end where the weight vanishes is still finite there.
+ENDPOINT_MARGIN = 1e-12
+
+# Points per axis of the tensor grid of a multivariate norm, by dimension.
+BOX_POINTS = {1: 33, 2: 33, 3: 15, 4: 9}
+
+
 @dataclass(frozen=True)
 class GridConfig:
     """Sampling parameters for sup-norm estimation.
 
     points Chebyshev-spaced samples on [-1, 1], endpoints pulled inward by
-    endpoint_margin; local maxima are refined until successive estimates
-    differ by less than rel_tol. box_points is the per-axis resolution of the
-    tensor grids used for multivariate norms (auto-reduced in dimension).
+    ENDPOINT_MARGIN; local maxima are refined until successive estimates
+    differ by less than rel_tol.
     """
 
     points: int = 4097
     rel_tol: float = 1e-10
-    endpoint_margin: float = 1e-12
-    box_points: int = 33
-
-    def points_per_axis(self, dim: int) -> int:
-        if dim <= 2:
-            return self.box_points
-        budget = {3: 15, 4: 9}.get(dim, 7)
-        return min(self.box_points, budget)
 
 
 DEFAULT_GRID = GridConfig()
@@ -161,7 +156,7 @@ def weighted_sup_norm(
     """
     if phi_power < 0:
         raise ValueError("phi_power must be nonnegative")
-    xs = chebyshev_grid(grid.points, grid.endpoint_margin, grid.endpoint_margin)
+    xs = chebyshev_grid(grid.points, ENDPOINT_MARGIN, ENDPOINT_MARGIN)
     uvals = weight_eval(w, xs)
     if phi_power:
         uvals = uvals * phi_eval(xs) ** phi_power
@@ -301,12 +296,12 @@ def multivariate_sobolev_norm(
     f: ExprAst,
     r: int,
     box: Sequence[tuple[float, float]],
-    grid: GridConfig = DEFAULT_GRID,
 ) -> float:
     """||f||_inf + sum over 1 <= |l| <= r of ||D^l f||_inf on a box.
 
-    Each sup is estimated on a tensor sampling grid; all mixed partials at a
-    grid point come from one multivariate jet evaluation.
+    Each sup is estimated on a tensor grid of BOX_POINTS[len(box)] points per
+    axis; all mixed partials at a grid point come from one multivariate jet
+    evaluation.
     """
     n = len(box)
     if n < 1:
@@ -315,8 +310,7 @@ def multivariate_sobolev_norm(
         raise ValueError(f"tensor grids support at most 4 axes, got {n}")
     if r < 1:
         raise ValueError(f"order must be positive, got {r}")
-    per_axis = grid.points_per_axis(n)
-    axes = [np.linspace(lo, hi, per_axis) for lo, hi in box]
+    axes = [np.linspace(lo, hi, BOX_POINTS[n]) for lo, hi in box]
     mesh = np.meshgrid(*axes, indexing="ij")
     flat = [m.reshape(-1) for m in mesh]
     partials = jetn_partials(f, flat, r).partials_map()

@@ -131,6 +131,40 @@ class TestErrorsAndExitCodes:
         assert code == 2
         assert "--grid" in err or "exceeds" in err
 
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_max_iter_below_one(self, capsys, monkeypatch, value):
+        from compose_approx import cli
+
+        monkeypatch.setattr(cli, "weighted_remez", None)  # no solve may start
+        code, _, err = run_cli(capsys, "bestapprox", "--f", "x", "--m", "1",
+                               "--max-iter", value)
+        assert code == 2
+        assert "--max-iter must be at least 1" in err
+
+    @pytest.mark.parametrize(
+        "box, message",
+        [
+            ("-2:2,-3:3", "2 axes for 1 inner functions"),
+            ("-2:2:5", "must be lo:hi"),
+            ("-2:nan", "finite"),
+            ("2:-2", "lo < hi"),
+        ],
+        ids=["count", "three-ends", "nan", "reversed"],
+    )
+    def test_malformed_box(self, capsys, monkeypatch, tmp_path, box, message):
+        from compose_approx import harness
+
+        # nothing may be evaluated before the box is rejected
+        for name in ("eval_scalar", "composite_jet", "weighted_sup_norm"):
+            monkeypatch.setattr(harness, name, None)
+        code, _, err = run_cli(
+            capsys, "--out", str(tmp_path), "verify", "composite",
+            "--f", "y1", "--g", "x", "--r", "2", f"--box={box}",
+        )
+        assert code == 2
+        assert message in err
+        assert not list(tmp_path.iterdir())
+
     def test_config_grid_capped(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text("grid=1000000000000\n")

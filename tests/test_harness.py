@@ -157,6 +157,23 @@ class TestVerifyComposite:
                 box=[(-1.0, 1.0)],
             )
 
+    @pytest.mark.parametrize(
+        "box, message",
+        [
+            ([(-2.0, 2.0), (-3.0, 3.0)], "2 axes for 1 inner"),
+            ([(-2.0, 2.0, 5.0)], "lo:hi"),
+            ([(-2.0, math.nan)], "finite"),
+            ([(-math.inf, 2.0)], "finite"),
+            ([(2.0, -2.0)], "lo < hi"),
+        ],
+        ids=["count", "three-ends", "nan", "inf", "reversed"],
+    )
+    def test_malformed_box_rejected(self, box, message):
+        with pytest.raises(ValueError, match=message):
+            verify_composite_bound(
+                parse("y1", 1, ["y1"]), [parse("x", 1)], 2, W0, FAST_GRID, box=box
+            )
+
     def test_measured_box_covers_image(self):
         xs = np.linspace(-1, 1, 1001)
         box = measured_box([parse("x^2", 1)], xs)

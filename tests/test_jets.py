@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from compose_approx.errors import EvalDomainError, ResourceLimitError
-from compose_approx.expr import eval_jet1, eval_jetn, eval_scalar, parse
+from compose_approx.expr import eval_jet1, eval_scalar, parse
 from compose_approx.jets import Jet1, JetN, jet_compose, jet_lift, jetn_partials
 
 from oracles import central_diff_1, central_diff_2, rel_err
@@ -168,7 +168,7 @@ class TestJetN:
             ast = parse(src, 1)
             for x0 in (-0.5, 0.0, 0.7):
                 j1 = eval_jet1(ast, jet_lift(x0, 5))
-                jn = eval_jetn(ast, (x0,), 5)
+                jn = jetn_partials(ast, (x0,), 5)
                 for i, c in enumerate(j1.coeffs):
                     assert jn.coeff((i,)) == c
 

@@ -149,7 +149,7 @@ class TestWeightedRuns:
         assert rel_err(rv.error, rc.error) < 1e-6
 
     def test_nonconvergence_reported(self):
-        opts = RemezOptions(max_iter=1, polish_max_iter=1)
+        opts = RemezOptions(max_iter=1)
         rep = weighted_remez(lambda x: (1 + x) ** 1.5, 40, W0, opts)
         assert not rep.converged
         assert rep.error > 0  # best-so-far, not a silent wrong answer

@@ -7,6 +7,7 @@ import pytest
 from compose_approx.errors import EvaluationError
 from compose_approx.expr import eval_scalar, parse
 from compose_approx.weighted import (
+    ENDPOINT_MARGIN,
     GridConfig,
     JacobiWeight,
     _peak_candidates,
@@ -123,7 +124,7 @@ class TestSupNorm:
 
 def _sup_refining_every_candidate(fn, w, p, grid):
     """The sup norm with every tied sample refined, plateau interiors too."""
-    xs = chebyshev_grid(grid.points, grid.endpoint_margin, grid.endpoint_margin)
+    xs = chebyshev_grid(grid.points, ENDPOINT_MARGIN, ENDPOINT_MARGIN)
     uvals = weight_eval(w, xs) * phi_eval(xs) ** p
     vals = np.abs(eval_samples(fn, xs)) * uvals
 
