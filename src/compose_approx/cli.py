@@ -10,6 +10,7 @@ output. Exit codes: 0 success, 2 argument error, 3 numerical failure
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -161,6 +162,8 @@ def _cmd_faa(args, settings: Settings) -> int:
     gs = _parse_exprs(args.g)
     n = len(gs)
     f = parse(args.f, n, _outer_names(n))
+    if not math.isfinite(args.x0):
+        raise ValueError(f"--x0 must be finite, got {args.x0}")
     derivs = composite_jet(f, gs, args.x0, args.r)
     print(" ".join(_fmt(float(v)) for v in derivs))
     if args.compare_jets:

@@ -4,16 +4,19 @@
 discretized multi-point exchange on a fine Chebyshev grid: it maintains m+2
 reference points, solves the linear alternation system for the polynomial
 (in the Chebyshev basis) and the levelled error h, then replaces the
-references with the extrema of the weighted residual. The levelled |h| is a
-lower bound for the minimax error and the residual maximum an upper bound,
-so the pair brackets the answer at every iteration.
+references with the extrema of the weighted residual, evaluated on the whole
+grid by one DCT-I. The levelled |h| is a lower bound for the minimax error and
+the residual maximum an upper bound, so the pair brackets the answer at every
+iteration.
 
 Given a callable, the converged grid solution is polished off-grid: the
 references are re-located by parabolic/golden search on the continuous
-weighted residual and the alternation system is re-solved, which levels the
-equioscillation to solver precision. With precomputed samples only, the
-final extrema are instead sharpened through the three neighbouring samples
-(a parabola vertex), accurate to O(spacing^3) without new evaluations.
+weighted residual, the m+2 searches stepping together with f and u evaluated
+on arrays (numpy's pow/cos may differ from scalar libm by an ulp), and the
+alternation system is re-solved until the equioscillation levels; the solve
+is converged only when its printed bracket is. With precomputed samples only,
+the final extrema are sharpened through the three neighbouring samples (a
+parabola vertex), accurate to O(spacing^3) without new evaluations.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from .weighted import (
     derivative_fn,
     eval_samples,
     parabola_vertex,
-    refine_max,
+    refine_max_many,
     weight_eval,
     weighted_sup_norm,
 )
@@ -103,6 +106,20 @@ def remez_grid(w: JacobiWeight, opts: RemezOptions = DEFAULT_REMEZ) -> np.ndarra
         ENDPOINT_MARGIN if w.delta > 0 else 0.0,
         ENDPOINT_MARGIN if w.gamma > 0 else 0.0,
     )
+
+
+def _cheb_on_grid(xs: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """The series on a remez_grid by one DCT-I: T_k(-cos t) = (-1)^k cos(k t), so
+    an rfft of the even extension of the sign-flipped coefficients gives every
+    Lobatto value; the two ends, maybe pulled inward, go through Clenshaw."""
+    n, m = len(xs), len(coeffs) - 1
+    ext = np.zeros(2 * (n - 1))
+    ext[: m + 1] = coeffs * (-1.0) ** np.arange(m + 1)
+    ext[0] *= 2.0
+    ext[2 * (n - 1) - m :] = ext[m:0:-1]
+    out = 0.5 * np.fft.rfft(ext).real
+    out[[0, -1]] = npcheb.chebval(xs[[0, -1]], coeffs)
+    return out
 
 
 def _alternation_solve(
@@ -199,6 +216,8 @@ def remez_from_values(
         raise ValueError("xs and fvals must have equal length")
     if len(xs) < m + 2:
         raise ValueError(f"grid of {len(xs)} points cannot host {m + 2} references")
+    if not np.array_equal(xs[1:-1], chebyshev_grid(len(xs), 0.0, 0.0)[1:-1]):
+        raise ValueError("xs must be a Chebyshev-Lobatto grid (see remez_grid)")
     if not np.all(np.isfinite(fvals)):
         bad = int(np.argmin(np.isfinite(fvals)))
         raise EvaluationError("non-finite function sample", float(xs[bad]))
@@ -218,7 +237,7 @@ def remez_from_values(
     best: tuple | None = None
     for iterations in range(1, max(1, opts.max_iter) + 1):
         coeffs, h = _alternation_solve(xs[ref_idx], fu[ref_idx], uvals[ref_idx], m)
-        e = fu - npcheb.chebval(xs, coeffs) * uvals
+        e = fu - _cheb_on_grid(xs, coeffs) * uvals
         e_up = float(np.max(np.abs(e)))
         degenerate = e_up <= 1e-13 * scale  # f is (numerically) already in P_m
         converged = degenerate or e_up - abs(h) <= max(opts.tol * e_up, noise)
@@ -242,9 +261,9 @@ def remez_from_values(
             refine_with, w, m, ref_x, float(xs[0]), float(xs[-1]), opts, noise
         )
         if polished is not None:
-            coeffs, h_abs, ref_x, values, lev_ok = polished
+            coeffs, h_abs, ref_x, values = polished
             e_up = max(float(np.max(values)), h_abs)
-            converged = converged or lev_ok
+            converged = e_up - h_abs <= max(opts.tol * e_up, noise)
     else:
         # sharpen the grid extrema through neighbouring samples
         refined = [_parabola_peak(xs, e, int(i)) for i in ref_idx]
@@ -273,45 +292,35 @@ def _polish(
     noise: float,
 ):
     """Off-grid exchange: relocate references on the continuous residual and
-    re-solve until the equioscillation levels. Returns None if the system
-    degenerates (caller keeps the grid solution)."""
+    re-solve until the equioscillation levels. All m+2 relocations of a round
+    step together, with the residual evaluated on arrays. Returns None if the
+    system degenerates (caller keeps the grid solution)."""
     refs = ref_x.copy()
-    coeffs = None
-    h = 0.0
-    values = None
     for _ in range(max(1, min(POLISH_MAX_ITER, opts.max_iter))):
         u_ref = weight_eval(w, refs)
-        f_ref = np.array([float(f(float(x))) for x in refs])
+        f_ref = eval_samples(f, refs)
         try:
             coeffs, h = _alternation_solve(refs, f_ref * u_ref, u_ref, m)
         except SingularSystemError:
             return None
-        sign_h = 1.0 if h >= 0 else -1.0
+        # sign of the residual wanted at each reference: +-h, alternating
+        sigma = (1.0 if h >= 0 else -1.0) * (-1.0) ** np.arange(len(refs))
 
-        def residual(x: float) -> float:
-            return (float(f(x)) - float(npcheb.chebval(x, coeffs))) * float(
-                weight_eval(w, x)
-            )
+        def residual(x: np.ndarray, i: np.ndarray) -> np.ndarray:
+            fx = eval_samples(f, x)
+            return sigma[i] * ((fx - npcheb.chebval(x, coeffs)) * weight_eval(w, x))
 
-        new_refs = np.empty_like(refs)
-        values = np.empty_like(refs)
-        k = len(refs)
-        for i in range(k):
-            a = lo if i == 0 else 0.5 * (refs[i - 1] + refs[i])
-            c = hi if i == k - 1 else 0.5 * (refs[i] + refs[i + 1])
-            sigma = sign_h * (1.0 if i % 2 == 0 else -1.0)
-            x_i, v_i = refine_max(
-                lambda x: sigma * residual(x), a, float(refs[i]), c, opts.tol, width=1e-6
-            )
-            new_refs[i] = x_i
-            values[i] = v_i
+        mids = 0.5 * (refs[:-1] + refs[1:])
+        brackets = list(zip(np.append(lo, mids), refs, np.append(mids, hi)))
+        found = refine_max_many(residual, brackets, opts.tol, width=1e-6)
+        new_refs, values = np.array(found).T
         if np.any(np.diff(new_refs) <= 0) or np.any(values <= 0):
             return None  # lost alternation; keep the grid solution
         refs = new_refs
         spread = float(np.max(values) - np.min(values))
         if spread <= max(opts.tol * float(np.max(values)), noise):
-            return coeffs, abs(h), refs, values, True
-    return coeffs, abs(h), refs, values, False
+            break
+    return coeffs, abs(h), refs, values
 
 
 def weighted_remez(

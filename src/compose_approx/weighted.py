@@ -22,7 +22,7 @@ from .jets import jet_lift, jetn_partials, multi_indices
 
 @dataclass(frozen=True)
 class JacobiWeight:
-    """u(x) = (1-x)^gamma (1+x)^delta with nonnegative exponents.
+    """u(x) = (1-x)^gamma (1+x)^delta with finite nonnegative exponents.
 
     Exponents >= 1 are legal for norm evaluation (they arise as powers u^r of
     a base weight); the derivative-estimate constants additionally require
@@ -33,9 +33,10 @@ class JacobiWeight:
     delta: float
 
     def __post_init__(self):
-        if self.gamma < 0 or self.delta < 0:
+        if not (0 <= self.gamma < math.inf and 0 <= self.delta < math.inf):
             raise ValueError(
-                f"weight exponents must be nonnegative, got ({self.gamma}, {self.delta})"
+                f"weight exponents must be finite and nonnegative, "
+                f"got ({self.gamma}, {self.delta})"
             )
 
     def power(self, c: float) -> "JacobiWeight":
@@ -216,27 +217,23 @@ def parabola_vertex(
     return x if a < x < c else None
 
 
-def refine_max(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    c: float,
-    rel_tol: float,
-    width: float | None = None,
-) -> tuple[float, float]:
+def _search(a: float, b: float, c: float, rel_tol: float, width: float | None):
     """Maximize f on [a, c] starting from the bracket a <= b <= c.
 
-    Tries a parabola through the three current points first and falls back to
-    a golden-section step into the larger side. Stops once successive best
-    values agree to rel_tol and the bracket is narrower than `width`. Without
-    a width only the value matters: two agreeing steps in a row, or a bracket
-    below 1e-9, end the search.
+    A generator: it yields each point it needs, is sent f there, and returns
+    the best (x, f(x)). Tries a parabola through the three current points
+    first and falls back to a golden-section step into the larger side. Stops
+    once successive best values agree to rel_tol and the bracket is narrower
+    than `width`. Without a width only the value matters: two agreeing steps
+    in a row, or a bracket below 1e-9, end the search.
     """
     inv_gold = (math.sqrt(5.0) - 1.0) / 2.0
-    fa, fb, fc = f(a), f(b), f(c)
+    fa = yield a
+    fb = yield b
+    fc = yield c
     if a == b or b == c:  # degenerate bracket: probe its midpoint
         mid = 0.5 * (a + c)
-        fm = f(mid)
+        fm = yield mid
         if fm >= fb:
             b, fb = mid, fm
     stable = 0
@@ -247,7 +244,7 @@ def refine_max(
             x = b + (1 - inv_gold) * ((c - b) if (c - b) > (b - a) else (a - b))
             if not a < x < c or x == b:
                 break  # the bracket has shrunk to rounding level
-        fx = f(x)
+        fx = yield x
         if fx > fb:
             if x < b:
                 c, fc = b, fb
@@ -269,6 +266,37 @@ def refine_max(
         else:
             stable = 0
     return b, fb
+
+
+def refine_max(f: Callable[[float], float], a: float, b: float, c: float,
+               rel_tol: float, width: float | None = None) -> tuple[float, float]:
+    """Run `_search` on [a, b, c] with one scalar call f(x) per step."""
+    search = _search(a, b, c, rel_tol, width)
+    try:
+        x = next(search)
+        while True:
+            x = search.send(f(x))
+    except StopIteration as done:
+        return done.value
+
+
+def refine_max_many(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                    brackets: Sequence[tuple[float, float, float]], rel_tol: float,
+                    width: float | None = None) -> list[tuple[float, float]]:
+    """`refine_max` on every (a, b, c) bracket at once: each step makes one
+    call f(points, bracket_indices) for the next point of every open search."""
+    searches = [_search(a, b, c, rel_tol, width) for a, b, c in brackets]
+    found: list = [None] * len(searches)
+    pending = {i: next(s) for i, s in enumerate(searches)}  # search -> next point
+    while pending:
+        idx = list(pending)
+        for i, v in zip(idx, f(np.array(list(pending.values())), np.array(idx))):
+            try:
+                pending[i] = searches[i].send(float(v))
+            except StopIteration as done:
+                found[i] = done.value
+                del pending[i]
+    return found
 
 
 def derivative_fn(f: ExprAst, order: int) -> Callable:

@@ -3,7 +3,8 @@
 Everything here deliberately avoids the library's own algorithms: partitions
 are enumerated as non-increasing part lists, set partitions by direct
 block-assignment recursion, derivatives by central finite differences, and
-sup norms by plain dense uniform grids.
+sup norms by plain dense uniform grids. The one exception is
+`polish_scalar`, the scalar reference for the batched Remez polish.
 """
 
 from __future__ import annotations
@@ -187,3 +188,47 @@ def composite_derivative_loop(f_partials, g_derivs, r: int, n: int):
             comp = (t - total) - y
             total = t
     return total
+
+
+def polish_scalar(f, w, m, ref_x, lo, hi, opts, noise):
+    """The Remez off-grid polish with one scalar search per reference, each
+    taking one scalar f call per step: the same rounds, stopping rule and
+    return value as `minimax._polish`, which steps the m+2 searches together
+    on arrays. Reuses the solver's pieces, so it checks the batching only."""
+    from numpy.polynomial import chebyshev as npcheb
+
+    from compose_approx.errors import SingularSystemError
+    from compose_approx.minimax import POLISH_MAX_ITER, _alternation_solve
+    from compose_approx.weighted import refine_max, weight_eval
+
+    refs = ref_x.copy()
+    for _ in range(max(1, min(POLISH_MAX_ITER, opts.max_iter))):
+        u_ref = weight_eval(w, refs)
+        f_ref = np.array([float(f(float(x))) for x in refs])
+        try:
+            coeffs, h = _alternation_solve(refs, f_ref * u_ref, u_ref, m)
+        except SingularSystemError:
+            return None
+        sign_h = 1.0 if h >= 0 else -1.0
+
+        def residual(x: float) -> float:
+            return (float(f(x)) - float(npcheb.chebval(x, coeffs))) * float(
+                weight_eval(w, x)
+            )
+
+        new_refs = np.empty_like(refs)
+        values = np.empty_like(refs)
+        k = len(refs)
+        for i in range(k):
+            a = lo if i == 0 else 0.5 * (refs[i - 1] + refs[i])
+            c = hi if i == k - 1 else 0.5 * (refs[i] + refs[i + 1])
+            sigma = sign_h * (1.0 if i % 2 == 0 else -1.0)
+            new_refs[i], values[i] = refine_max(
+                lambda x: sigma * residual(x), a, float(refs[i]), c, opts.tol, width=1e-6
+            )
+        if np.any(np.diff(new_refs) <= 0) or np.any(values <= 0):
+            return None
+        refs = new_refs
+        if float(np.max(values) - np.min(values)) <= max(opts.tol * float(np.max(values)), noise):
+            break
+    return coeffs, abs(h), refs, values

@@ -165,6 +165,27 @@ class TestErrorsAndExitCodes:
         assert message in err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("norm", "--f", "x", "--r", "1", "--gamma", "nan"), "finite"),
+            (("norm", "--f", "x", "--r", "1", "--gamma", "inf"), "finite"),
+            (("bestapprox", "--f", "x^2", "--m", "1", "--delta", "nan"), "finite"),
+            (("verify", "lemma", "--f", "x", "--r", "2", "--k", "1", "--delta=-inf"),
+             "nonnegative"),
+            (("faa", "--f", "exp(y1)", "--g", "sin(x)", "--x0", "nan", "--r", "2"),
+             "--x0 must be finite"),
+            (("faa", "--f", "exp(y1)", "--g", "sin(x)", "--x0", "inf", "--r", "2"),
+             "--x0 must be finite"),
+        ],
+        ids=["gamma-nan", "gamma-inf", "delta-nan", "delta-minus-inf", "x0-nan", "x0-inf"],
+    )
+    def test_non_finite_inputs_exit_two(self, capsys, tmp_path, argv, message):
+        code, out, err = run_cli(capsys, "--out", str(tmp_path), *argv)
+        assert code == 2
+        assert message in err
+        assert out == "" and not list(tmp_path.iterdir())
+
     def test_config_grid_capped(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text("grid=1000000000000\n")

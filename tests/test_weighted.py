@@ -19,12 +19,16 @@ from compose_approx.weighted import (
     multivariate_sobolev_norm,
     phi_eval,
     refine_max,
+    refine_max_many,
     sobolev_norm,
     weight_eval,
     weighted_sup_norm,
 )
 
 from oracles import dense_sup, rel_err
+
+hypothesis = pytest.importorskip("hypothesis")
+st = pytest.importorskip("hypothesis.strategies")
 
 W0 = JacobiWeight(0.0, 0.0)
 WH = JacobiWeight(0.5, 0.5)
@@ -195,6 +199,56 @@ class TestRefineMax:
         x_width, v_width = refine_max(self.bump, -1.0, 0.0, 1.0, 1e-12, width=1e-6)
         assert v_value == pytest.approx(v_width, rel=1e-12)
         assert abs(x_width - x_value) < 1e-5
+
+
+@st.composite
+def _brackets(draw):
+    """(a, b, c, f) with a <= b <= c; b sits at an end in some of them."""
+    unit = st.floats(-1.0, 1.0, allow_nan=False)
+    a, c = sorted((draw(unit), draw(unit)))
+    b = draw(st.sampled_from(["a", "c", "inside"]))
+    b = a if b == "a" else c if b == "c" else a + draw(st.floats(0.0, 1.0)) * (c - a)
+    b = min(max(b, a), c)
+    centre, amp, freq = draw(unit), draw(st.floats(0.0, 0.3)), draw(st.integers(0, 9))
+    flat = draw(st.booleans()) and draw(st.booleans())  # a constant now and then
+
+    def f(x):
+        return 0.5 if flat else 1.0 - (x - centre) ** 2 + amp * math.sin(freq * x)
+
+    return a, b, c, f
+
+
+class TestRefineMaxMany:
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(
+        st.lists(_brackets(), min_size=1, max_size=8),
+        st.sampled_from([None, 1e-6]),
+        st.sampled_from([1e-12, 1e-8]),
+    )
+    def test_equals_one_search_per_bracket(self, brackets, width, rel_tol):
+        scalar_calls = [0] * len(brackets)
+
+        def counted(i):
+            def f(x):
+                scalar_calls[i] += 1
+                return brackets[i][3](x)
+            return f
+
+        expected = [
+            refine_max(counted(i), a, b, c, rel_tol, width)
+            for i, (a, b, c, _) in enumerate(brackets)
+        ]
+        batched_calls = []
+
+        def batched(points, idx):
+            batched_calls.append(len(points))
+            return np.array([brackets[i][3](float(x)) for x, i in zip(points, idx)])
+
+        got = refine_max_many(batched, [br[:3] for br in brackets], rel_tol, width)
+        assert got == expected
+        # one call per step, each over every search still open
+        assert len(batched_calls) == max(scalar_calls)
+        assert sum(batched_calls) == sum(scalar_calls)
 
 
 class TestSobolevNorms:
