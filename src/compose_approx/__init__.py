@@ -36,14 +36,7 @@ from .harness import (
     verify_rate,
 )
 from .jets import Jet1, JetN, jet_compose, jet_lift, jetn_partials
-from .minimax import (
-    ApproxReport,
-    ChebPoly,
-    RemezOptions,
-    cheb_interpolant,
-    favard_rhs,
-    weighted_remez,
-)
+from .minimax import ApproxReport, ChebPoly, weighted_remez
 from .weighted import (
     GridConfig,
     JacobiWeight,

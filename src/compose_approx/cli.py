@@ -16,7 +16,13 @@ import sys
 from pathlib import Path
 
 from .combinatorics import bell_number, incomplete_bell_ones, _bell_terms
-from .errors import EvalDomainError, EvaluationError, ExprSyntaxError, ResourceLimitError
+from .errors import (
+    EvalDomainError,
+    EvaluationError,
+    ExprSyntaxError,
+    ResourceLimitError,
+    SingularSystemError,
+)
 from .expr import eval_jet1, parse
 from .faadibruno import composite_jet
 from .harness import (
@@ -29,7 +35,7 @@ from .harness import (
     write_rate_csv,
 )
 from .jets import jet_lift
-from .minimax import RemezOptions, weighted_remez
+from .minimax import weighted_remez
 from .weighted import GridConfig, JacobiWeight, derivative_fn, weighted_sup_norm
 
 CONFIG_ENV = "COMPOSE_APPROX_CONFIG"
@@ -74,37 +80,25 @@ class Settings:
 
     def __init__(self, args):
         cfg = _load_config(args.config)
-        self.grid_points = int(args.grid if args.grid is not None else cfg.get("grid", 4097))
-        self.tol = float(args.tol if args.tol is not None else cfg.get("tol", 1e-10))
+        points = int(args.grid if args.grid is not None else cfg.get("grid", 4097))
+        tol = float(args.tol if args.tol is not None else cfg.get("tol", 1e-10))
         self.out = Path(args.out if args.out is not None else cfg.get("out", "reports"))
         self.seed = int(args.seed if args.seed is not None else cfg.get("seed", 0))
         self.strict = bool(args.strict)
-        self.max_iter = getattr(args, "max_iter", 60)
-        if not MIN_GRID_POINTS <= self.grid_points <= MAX_GRID_POINTS:
+        max_iter = getattr(args, "max_iter", 60)
+        if not MIN_GRID_POINTS <= points <= MAX_GRID_POINTS:
             raise ValueError(
                 f"--grid must be between {MIN_GRID_POINTS} and {MAX_GRID_POINTS}"
             )
-        if not 0 < self.tol < 1:
+        if not 0 < tol < 1:
             raise ValueError("--tol must be in (0, 1)")
-        if self.max_iter < 1:
+        if max_iter < 1:
             raise ValueError("--max-iter must be at least 1")
-
-    @property
-    def grid(self) -> GridConfig:
-        return GridConfig(points=self.grid_points, rel_tol=self.tol)
-
-    @property
-    def remez(self) -> RemezOptions:
-        # the exchange grid is kept at least as fine as the norm grid
-        return RemezOptions(
-            grid_points=max(8193, self.grid_points),
-            tol=self.tol,
-            max_iter=self.max_iter,
-        )
+        self.grid = GridConfig(points, tol, max_iter)
 
     def check_degree(self, m: int) -> None:
         """A degree-m solve needs m + 2 reference points on the exchange grid."""
-        limit = self.remez.grid_points - 2
+        limit = self.grid.exchange_points - 2
         if m > limit:
             raise ValueError(f"degree {m} exceeds {limit}, the most the exchange grid allows")
 
@@ -184,6 +178,8 @@ def _cmd_faa(args, settings: Settings) -> int:
 
 
 def _cmd_norm(args, settings: Settings) -> int:
+    if args.r < 1:
+        raise ValueError(f"--r must be at least 1, got {args.r}")
     f = parse(args.f, 1)
     w = _weight(args)
     grid = settings.grid
@@ -205,7 +201,7 @@ def _cmd_bestapprox(args, settings: Settings) -> int:
 
         return eval_scalar(f, x)
 
-    report = weighted_remez(fn, args.m, w, settings.remez)
+    report = weighted_remez(fn, args.m, w, settings.grid)
     print(f"error {_fmt(report.error)}")
     print(f"lower {_fmt(report.leveled_error)}")
     print(f"iterations {report.iterations}")
@@ -252,8 +248,7 @@ def _cmd_verify(args, settings: Settings) -> int:
         f = parse(args.f, len(gs), _outer_names(len(gs)))
         ms = _parse_ms(args.ms, args.r, settings)
         report = verify_rate(
-            f, gs, args.r, w, ms, settings.grid, settings.remez,
-            case=args.case, seed=settings.seed,
+            f, gs, args.r, w, ms, settings.grid, case=args.case, seed=settings.seed,
         )
         payload = {"kind": "rate", **report.to_dict()}
         base = report_basename(args.case, args.r, w.gamma, w.delta)
@@ -285,7 +280,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", help=f"key=value config file (or ${CONFIG_ENV})")
     parser.add_argument("--out", help="report output directory (default: reports)")
-    parser.add_argument("--grid", type=int, help="sup-norm sampling points (default 4097)")
+    parser.add_argument("--grid", type=int,
+                        help="sup-norm sampling points (default 4097); "
+                             "the Remez exchange samples max(8193, N)")
     parser.add_argument("--tol", type=float, help="relative tolerance (default 1e-10)")
     parser.add_argument("--seed", type=int, help="seed echoed into reports (default 0)")
     parser.add_argument("--strict", action="store_true",
@@ -371,7 +368,7 @@ def main(argv=None) -> int:
     except (ExprSyntaxError, EvalDomainError, ResourceLimitError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except EvaluationError as err:
+    except (EvaluationError, SingularSystemError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
 

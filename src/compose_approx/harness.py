@@ -30,7 +30,7 @@ from .combinatorics import bell_number
 from .errors import EvalDomainError
 from .expr import ExprAst, eval_scalar, parse, to_string
 from .faadibruno import composite_jet, composite_value
-from .minimax import DEFAULT_REMEZ, RemezOptions, remez_from_values, remez_grid
+from .minimax import remez_from_values, remez_grid
 from .weighted import (
     DEFAULT_GRID,
     ENDPOINT_MARGIN,
@@ -272,7 +272,7 @@ def verify_composite_bound(
     if box is not None:
         box = _checked_box(box, n)
     # the image of g is probed on interior points of [-1, 1]
-    probe = chebyshev_grid(DEFAULT_REMEZ.grid_points, ENDPOINT_MARGIN, ENDPOINT_MARGIN)
+    probe = chebyshev_grid(DEFAULT_GRID.exchange_points, ENDPOINT_MARGIN, ENDPOINT_MARGIN)
     if box is None:
         box = measured_box(g, probe)
     else:
@@ -320,8 +320,6 @@ class RateReport:
     converged: tuple[bool, ...]
     at_noise_floor: tuple[bool, ...]
     ratios: tuple[float, ...]  # m^r E_m / bound_rhs where measurable
-    slope: float
-    ratio_sup: float
     bound_rhs: float
     f_norm: float
     g_norms: tuple[float, ...]
@@ -336,6 +334,20 @@ class RateReport:
             for i in range(len(self.ms))
             if self.converged[i] and not self.at_noise_floor[i]
         ]
+
+    @property
+    def slope(self) -> float:
+        """Least-squares slope of log E_m against log m over the usable degrees."""
+        usable = self.usable()
+        if len(usable) < 2:
+            return math.nan
+        log_m = np.log([self.ms[i] for i in usable])
+        log_e = np.log([self.errors[i] for i in usable])
+        return float(np.polyfit(log_m, log_e, 1)[0])
+
+    @property
+    def ratio_sup(self) -> float:
+        return max((self.ratios[i] for i in self.usable()), default=math.inf)
 
     def to_dict(self) -> dict:
         sel = ExponentSelector(self.g_norms, self.r, self.exponents)
@@ -372,7 +384,6 @@ def verify_rate(
     w: JacobiWeight,
     ms: Sequence[int],
     grid: GridConfig = DEFAULT_GRID,
-    opts: RemezOptions = DEFAULT_REMEZ,
     *,
     case: str = "case",
     seed: int = 0,
@@ -394,7 +405,7 @@ def verify_rate(
     require_lemma_range(w)
     n = len(g)
 
-    xs = remez_grid(w, opts)
+    xs = remez_grid(w, grid)
     fvals = np.asarray(composite_value(f, g, xs), dtype=float)
     scale = max(1.0, float(np.max(np.abs(fvals * np.asarray(w(xs))))))
     noise_floor = NOISE_FLOOR_FACTOR * np.finfo(float).eps * scale
@@ -404,23 +415,12 @@ def verify_rate(
 
     errors, leveled, converged, floored, ratios = [], [], [], [], []
     for m in ms:
-        rep = remez_from_values(xs, fvals, m, w, opts)
+        rep = remez_from_values(xs, fvals, m, w, grid)
         errors.append(float(rep.error))
         leveled.append(float(rep.leveled_error))
         converged.append(bool(rep.converged))
         floored.append(bool(rep.error <= noise_floor))
         ratios.append(rep.error * float(m) ** r / bound_rhs)
-
-    usable = [
-        i for i in range(len(ms)) if converged[i] and not floored[i] and errors[i] > 0
-    ]
-    if len(usable) >= 2:
-        log_m = np.log([ms[i] for i in usable])
-        log_e = np.log([errors[i] for i in usable])
-        slope = float(np.polyfit(log_m, log_e, 1)[0])
-    else:
-        slope = math.nan
-    ratio_sup = max((ratios[i] for i in usable), default=math.inf)
 
     return RateReport(
         case=case,
@@ -436,8 +436,6 @@ def verify_rate(
         converged=tuple(converged),
         at_noise_floor=tuple(floored),
         ratios=tuple(ratios),
-        slope=slope,
-        ratio_sup=ratio_sup,
         bound_rhs=bound_rhs,
         f_norm=f_norm,
         g_norms=g_norms,

@@ -21,7 +21,6 @@ parabola vertex), accurate to O(spacing^3) without new evaluations.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -29,19 +28,16 @@ import numpy as np
 from numpy.polynomial import chebyshev as npcheb
 
 from .errors import EvaluationError, SingularSystemError
-from .expr import ExprAst
 from .weighted import (
     DEFAULT_GRID,
     ENDPOINT_MARGIN,
     GridConfig,
     JacobiWeight,
     chebyshev_grid,
-    derivative_fn,
     eval_samples,
     parabola_vertex,
     refine_max_many,
     weight_eval,
-    weighted_sup_norm,
 )
 
 
@@ -68,18 +64,6 @@ POLISH_MAX_ITER = 10
 
 
 @dataclass(frozen=True)
-class RemezOptions:
-    """Exchange grid size, relative bracket tolerance and iteration cap."""
-
-    grid_points: int = 8193
-    tol: float = 1e-10
-    max_iter: int = 60
-
-
-DEFAULT_REMEZ = RemezOptions()
-
-
-@dataclass(frozen=True)
 class ApproxReport:
     """Result of one minimax solve.
 
@@ -98,11 +82,12 @@ class ApproxReport:
     converged: bool
 
 
-def remez_grid(w: JacobiWeight, opts: RemezOptions = DEFAULT_REMEZ) -> np.ndarray:
-    """Ascending Chebyshev-spaced sampling grid, endpoints pulled inward
-    where the weight vanishes (so singular-but-integrable f stays finite)."""
+def remez_grid(w: JacobiWeight, grid: GridConfig = DEFAULT_GRID) -> np.ndarray:
+    """Ascending Chebyshev-spaced exchange grid of grid.exchange_points, ends
+    pulled inward where the weight vanishes (so singular-but-integrable f
+    stays finite)."""
     return chebyshev_grid(
-        opts.grid_points,
+        grid.exchange_points,
         ENDPOINT_MARGIN if w.delta > 0 else 0.0,
         ENDPOINT_MARGIN if w.gamma > 0 else 0.0,
     )
@@ -199,7 +184,7 @@ def remez_from_values(
     fvals: np.ndarray,
     m: int,
     w: JacobiWeight,
-    opts: RemezOptions = DEFAULT_REMEZ,
+    grid: GridConfig = DEFAULT_GRID,
     *,
     refine_with: Callable | None = None,
 ) -> ApproxReport:
@@ -235,12 +220,12 @@ def remez_from_values(
         raise ValueError("grid too coarse for the requested degree")
 
     best: tuple | None = None
-    for iterations in range(1, max(1, opts.max_iter) + 1):
+    for iterations in range(1, max(1, grid.max_iter) + 1):
         coeffs, h = _alternation_solve(xs[ref_idx], fu[ref_idx], uvals[ref_idx], m)
         e = fu - _cheb_on_grid(xs, coeffs) * uvals
         e_up = float(np.max(np.abs(e)))
         degenerate = e_up <= 1e-13 * scale  # f is (numerically) already in P_m
-        converged = degenerate or e_up - abs(h) <= max(opts.tol * e_up, noise)
+        converged = degenerate or e_up - abs(h) <= max(grid.rel_tol * e_up, noise)
         if converged or best is None or e_up < best[0]:
             best = (e_up, coeffs, abs(h), ref_idx.copy(), e)
         if converged:
@@ -258,12 +243,12 @@ def remez_from_values(
 
     if refine_with is not None and not degenerate:
         polished = _polish(
-            refine_with, w, m, ref_x, float(xs[0]), float(xs[-1]), opts, noise
+            refine_with, w, m, ref_x, float(xs[0]), float(xs[-1]), grid, noise
         )
         if polished is not None:
             coeffs, h_abs, ref_x, values = polished
             e_up = max(float(np.max(values)), h_abs)
-            converged = e_up - h_abs <= max(opts.tol * e_up, noise)
+            converged = e_up - h_abs <= max(grid.rel_tol * e_up, noise)
     else:
         # sharpen the grid extrema through neighbouring samples
         refined = [_parabola_peak(xs, e, int(i)) for i in ref_idx]
@@ -288,7 +273,7 @@ def _polish(
     ref_x: np.ndarray,
     lo: float,
     hi: float,
-    opts: RemezOptions,
+    grid: GridConfig,
     noise: float,
 ):
     """Off-grid exchange: relocate references on the continuous residual and
@@ -296,7 +281,7 @@ def _polish(
     step together, with the residual evaluated on arrays. Returns None if the
     system degenerates (caller keeps the grid solution)."""
     refs = ref_x.copy()
-    for _ in range(max(1, min(POLISH_MAX_ITER, opts.max_iter))):
+    for _ in range(max(1, min(POLISH_MAX_ITER, grid.max_iter))):
         u_ref = weight_eval(w, refs)
         f_ref = eval_samples(f, refs)
         try:
@@ -312,13 +297,13 @@ def _polish(
 
         mids = 0.5 * (refs[:-1] + refs[1:])
         brackets = list(zip(np.append(lo, mids), refs, np.append(mids, hi)))
-        found = refine_max_many(residual, brackets, opts.tol, width=1e-6)
+        found = refine_max_many(residual, brackets, grid.rel_tol, width=1e-6)
         new_refs, values = np.array(found).T
         if np.any(np.diff(new_refs) <= 0) or np.any(values <= 0):
             return None  # lost alternation; keep the grid solution
         refs = new_refs
         spread = float(np.max(values) - np.min(values))
-        if spread <= max(opts.tol * float(np.max(values)), noise):
+        if spread <= max(grid.rel_tol * float(np.max(values)), noise):
             break
     return coeffs, abs(h), refs, values
 
@@ -327,38 +312,8 @@ def weighted_remez(
     f: Callable,
     m: int,
     w: JacobiWeight,
-    opts: RemezOptions = DEFAULT_REMEZ,
+    grid: GridConfig = DEFAULT_GRID,
 ) -> ApproxReport:
     """Weighted minimax approximation of a callable f on [-1, 1]."""
-    xs = remez_grid(w, opts)
-    return remez_from_values(xs, eval_samples(f, xs), m, w, opts, refine_with=f)
-
-
-def cheb_interpolant(f: Callable, m: int) -> ChebPoly:
-    """Interpolant at the m+1 Chebyshev points of the first kind."""
-    if m < 0:
-        raise ValueError(f"degree must be nonnegative, got {m}")
-    k = np.arange(m + 1)
-    theta = math.pi * (k + 0.5) / (m + 1)
-    nodes = np.cos(theta)
-    fvals = eval_samples(f, nodes)
-    if not np.all(np.isfinite(fvals)):
-        bad = int(np.argmin(np.isfinite(fvals)))
-        raise EvaluationError("non-finite node value", float(nodes[bad]))
-    coeffs = np.empty(m + 1)
-    for j in range(m + 1):
-        coeffs[j] = (2.0 / (m + 1)) * np.sum(fvals * np.cos(j * theta))
-    coeffs[0] /= 2.0
-    return ChebPoly(tuple(float(c) for c in coeffs))
-
-
-def favard_rhs(f: ExprAst, r: int, m: int, w: JacobiWeight,
-               grid: GridConfig = DEFAULT_GRID) -> float:
-    """||f^(r) phi^r u||_inf / m^r, the smoothness side of the Favard bound
-    (without its unspecified absolute constant)."""
-    if r < 1:
-        raise ValueError(f"order must be positive, got {r}")
-    if m < r:
-        raise ValueError(f"need m >= r, got m={m}, r={r}")
-    seminorm = weighted_sup_norm(derivative_fn(f, r), w, r, grid)
-    return seminorm.value / float(m) ** r
+    xs = remez_grid(w, grid)
+    return remez_from_values(xs, eval_samples(f, xs), m, w, grid, refine_with=f)

@@ -20,23 +20,28 @@ from .expr import ExprAst, eval_jet1, eval_scalar
 from .jets import jet_lift, jetn_partials, multi_indices
 
 
+# 2^1024 overflows a double: weight exponents stay below it.
+MAX_EXPONENT = 1024
+
+
 @dataclass(frozen=True)
 class JacobiWeight:
-    """u(x) = (1-x)^gamma (1+x)^delta with finite nonnegative exponents.
+    """u(x) = (1-x)^gamma (1+x)^delta with exponents in [0, MAX_EXPONENT).
 
     Exponents >= 1 are legal for norm evaluation (they arise as powers u^r of
     a base weight); the derivative-estimate constants additionally require
-    gamma, delta < 1 and enforce that where used.
+    gamma, delta < 1 and enforce that where used. The weight's maximum on
+    [-1, 1] is at most 2^max(gamma, delta), a finite double.
     """
 
     gamma: float
     delta: float
 
     def __post_init__(self):
-        if not (0 <= self.gamma < math.inf and 0 <= self.delta < math.inf):
+        if not (0 <= self.gamma < MAX_EXPONENT and 0 <= self.delta < MAX_EXPONENT):
             raise ValueError(
-                f"weight exponents must be finite and nonnegative, "
-                f"got ({self.gamma}, {self.delta})"
+                f"weight exponents must be finite, nonnegative and below "
+                f"{MAX_EXPONENT}, got ({self.gamma}, {self.delta})"
             )
 
     def power(self, c: float) -> "JacobiWeight":
@@ -90,18 +95,28 @@ ENDPOINT_MARGIN = 1e-12
 # Points per axis of the tensor grid of a multivariate norm, by dimension.
 BOX_POINTS = {1: 33, 2: 33, 3: 15, 4: 9}
 
+# The Remez exchange grid is never coarser than this.
+EXCHANGE_MIN_POINTS = 8193
+
 
 @dataclass(frozen=True)
 class GridConfig:
-    """Sampling parameters for sup-norm estimation.
+    """Numerics of the sup norms and the Remez exchange.
 
-    points Chebyshev-spaced samples on [-1, 1], endpoints pulled inward by
-    ENDPOINT_MARGIN; local maxima are refined until successive estimates
-    differ by less than rel_tol.
+    Sup norms take `points` Chebyshev-spaced samples on [-1, 1], endpoints
+    pulled inward by ENDPOINT_MARGIN, and refine local maxima until successive
+    estimates differ by less than rel_tol. The exchange runs on
+    `exchange_points` samples, stops once its bracket is within rel_tol, and
+    iterates at most max_iter times.
     """
 
     points: int = 4097
     rel_tol: float = 1e-10
+    max_iter: int = 60
+
+    @property
+    def exchange_points(self) -> int:
+        return max(EXCHANGE_MIN_POINTS, self.points)
 
 
 DEFAULT_GRID = GridConfig()
@@ -129,6 +144,8 @@ def eval_samples(fn: Callable, xs: np.ndarray) -> np.ndarray:
     """Evaluate `fn` on an array, falling back to a scalar loop."""
     try:
         vals = np.asarray(fn(xs), dtype=float)
+        if vals.ndim == 0:  # a constant: one value for the whole grid
+            return np.full(xs.shape, float(vals))
         if vals.shape != xs.shape:
             raise TypeError
         return vals

@@ -190,7 +190,7 @@ def composite_derivative_loop(f_partials, g_derivs, r: int, n: int):
     return total
 
 
-def polish_scalar(f, w, m, ref_x, lo, hi, opts, noise):
+def polish_scalar(f, w, m, ref_x, lo, hi, grid, noise):
     """The Remez off-grid polish with one scalar search per reference, each
     taking one scalar f call per step: the same rounds, stopping rule and
     return value as `minimax._polish`, which steps the m+2 searches together
@@ -202,7 +202,7 @@ def polish_scalar(f, w, m, ref_x, lo, hi, opts, noise):
     from compose_approx.weighted import refine_max, weight_eval
 
     refs = ref_x.copy()
-    for _ in range(max(1, min(POLISH_MAX_ITER, opts.max_iter))):
+    for _ in range(max(1, min(POLISH_MAX_ITER, grid.max_iter))):
         u_ref = weight_eval(w, refs)
         f_ref = np.array([float(f(float(x))) for x in refs])
         try:
@@ -224,11 +224,11 @@ def polish_scalar(f, w, m, ref_x, lo, hi, opts, noise):
             c = hi if i == k - 1 else 0.5 * (refs[i] + refs[i + 1])
             sigma = sign_h * (1.0 if i % 2 == 0 else -1.0)
             new_refs[i], values[i] = refine_max(
-                lambda x: sigma * residual(x), a, float(refs[i]), c, opts.tol, width=1e-6
+                lambda x: sigma * residual(x), a, float(refs[i]), c, grid.rel_tol, width=1e-6
             )
         if np.any(np.diff(new_refs) <= 0) or np.any(values <= 0):
             return None
         refs = new_refs
-        if float(np.max(values) - np.min(values)) <= max(opts.tol * float(np.max(values)), noise):
+        if float(np.max(values) - np.min(values)) <= max(grid.rel_tol * float(np.max(values)), noise):
             break
     return coeffs, abs(h), refs, values

@@ -177,8 +177,13 @@ class TestErrorsAndExitCodes:
              "--x0 must be finite"),
             (("faa", "--f", "exp(y1)", "--g", "sin(x)", "--x0", "inf", "--r", "2"),
              "--x0 must be finite"),
+            # 2^gamma overflows a double from 1024 on
+            (("norm", "--f", "x", "--r", "1", "--gamma", "1e308"), "below 1024"),
+            (("norm", "--f", "x", "--r", "1", "--gamma", "1024"), "below 1024"),
+            (("bestapprox", "--f", "exp(x)", "--m", "3", "--gamma", "2000"), "below 1024"),
         ],
-        ids=["gamma-nan", "gamma-inf", "delta-nan", "delta-minus-inf", "x0-nan", "x0-inf"],
+        ids=["gamma-nan", "gamma-inf", "delta-nan", "delta-minus-inf", "x0-nan", "x0-inf",
+             "gamma-1e308", "gamma-1024", "gamma-2000"],
     )
     def test_non_finite_inputs_exit_two(self, capsys, tmp_path, argv, message):
         code, out, err = run_cli(capsys, "--out", str(tmp_path), *argv)
@@ -227,6 +232,19 @@ class TestErrorsAndExitCodes:
         )
         assert code == 3
         assert "converge" in err
+
+    @pytest.mark.parametrize("gamma", ["700", "1000", "1023"])
+    def test_singular_exchange_exit_three(self, capsys, gamma):
+        code, out, err = run_cli(
+            capsys, "bestapprox", "--f", "exp(x)", "--m", "3", "--gamma", gamma
+        )
+        assert code == 3
+        assert "singular" in err and out == ""
+
+    def test_norm_order_below_one_exit_two(self, capsys):
+        code, out, err = run_cli(capsys, "norm", "--f", "x", "--r", "0")
+        assert code == 2
+        assert "--r" in err and out == ""
 
     def test_help_exits_zero_everywhere(self, capsys):
         for args in (

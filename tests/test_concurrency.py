@@ -10,11 +10,10 @@ import numpy as np
 
 from compose_approx.expr import eval_scalar, parse
 from compose_approx.faadibruno import compile_expansion, composite_jet
-from compose_approx.minimax import RemezOptions, weighted_remez
+from compose_approx.minimax import weighted_remez
 from compose_approx.weighted import GridConfig, JacobiWeight, derivative_fn, weighted_sup_norm
 
 GRID = GridConfig(points=1025)
-REMEZ = RemezOptions(grid_points=2049)
 XS = np.linspace(-0.9, 0.9, 33)
 
 
@@ -28,7 +27,7 @@ def _tasks():
     for w in (JacobiWeight(0.0, 0.0), JacobiWeight(0.25, 0.5)):
         tasks.append(lambda w=w: weighted_sup_norm(derivative_fn(f, 2), w, 2, GRID))
         tasks.append(lambda w=w: weighted_sup_norm(derivative_fn(flat, 4), w, 4, GRID))
-        tasks.append(lambda w=w: weighted_remez(lambda x: eval_scalar(h, x), 6, w, REMEZ))
+        tasks.append(lambda w=w: weighted_remez(lambda x: eval_scalar(h, x), 6, w, GRID))
     tasks.append(lambda: composite_jet(outer, inner, XS, 4))
     tasks.append(lambda: composite_jet(outer, inner, 0.3, 5))
     return tasks

@@ -22,14 +22,12 @@ from compose_approx.harness import (
     write_json_report,
     write_rate_csv,
 )
-from compose_approx.minimax import RemezOptions
 from compose_approx.weighted import GridConfig, JacobiWeight
 
 from oracles import rel_err
 
 W0 = JacobiWeight(0.0, 0.0)
 FAST_GRID = GridConfig(points=1025)
-FAST_REMEZ = RemezOptions(grid_points=2049)
 
 
 class TestSelectExponents:
@@ -206,7 +204,6 @@ class TestVerifyRate:
             W0,
             [2, 3, 4, 5],
             FAST_GRID,
-            FAST_REMEZ,
         )
         assert all(rep.at_noise_floor)
         assert all(e >= 0 for e in rep.errors)
@@ -246,7 +243,7 @@ class TestVerifyRate:
 
     def test_report_serialization_deterministic(self, tmp_path):
         case = rate_case()
-        kwargs = dict(grid=FAST_GRID, opts=FAST_REMEZ, case="det", seed=11)
+        kwargs = dict(grid=FAST_GRID, case="det", seed=11)
         rep1 = verify_rate(case["f"], case["g"], 3, case["w"], [8, 12, 16], **kwargs)
         rep2 = verify_rate(case["f"], case["g"], 3, case["w"], [8, 12, 16], **kwargs)
         p1 = write_json_report(rep1.to_dict(), tmp_path / "a.json")
@@ -257,7 +254,7 @@ class TestVerifyRate:
     def test_csv_columns(self, tmp_path):
         case = rate_case()
         rep = verify_rate(
-            case["f"], case["g"], 3, case["w"], [8, 12], FAST_GRID, FAST_REMEZ,
+            case["f"], case["g"], 3, case["w"], [8, 12], FAST_GRID,
         )
         path = write_rate_csv(rep, tmp_path / "r.csv")
         lines = path.read_text().strip().splitlines()

@@ -9,15 +9,21 @@ from compose_approx.expr import eval_scalar, parse
 from compose_approx.harness import favard_corpus
 from compose_approx.minimax import (
     ChebPoly,
-    RemezOptions,
     _cheb_on_grid,
-    cheb_interpolant,
-    favard_rhs,
     remez_from_values,
     remez_grid,
     weighted_remez,
 )
-from compose_approx.weighted import JacobiWeight, chebyshev_grid, phi_eval, weight_eval
+from compose_approx.weighted import (
+    DEFAULT_GRID,
+    GridConfig,
+    JacobiWeight,
+    chebyshev_grid,
+    derivative_fn,
+    phi_eval,
+    weight_eval,
+    weighted_sup_norm,
+)
 
 from oracles import dense_sup, polish_scalar, rel_err
 
@@ -106,22 +112,6 @@ class TestGridTransform:
             remez_from_values(xs, np.exp(xs), 4, W0)
 
 
-class TestInterpolant:
-    def test_reproduces_basis_element(self):
-        p = cheb_interpolant(T3, 3)
-        assert np.allclose(p.coeffs, (0, 0, 0, 1), atol=1e-14)
-
-    def test_constant(self):
-        p = cheb_interpolant(lambda x: 2.0 * np.ones_like(x), 5)
-        assert p.coeffs[0] == pytest.approx(2.0, abs=1e-14)
-        assert max(abs(c) for c in p.coeffs[1:]) < 1e-14
-
-    def test_exp_degree_ten_residual(self):
-        p = cheb_interpolant(np.exp, 10)
-        xs = np.linspace(-1, 1, 20001)
-        assert float(np.max(np.abs(np.exp(xs) - p(xs)))) <= 1e-9
-
-
 class TestRemezExactness:
     def test_square_degree_one(self):
         rep = weighted_remez(lambda x: x**2, 1, W0)
@@ -174,7 +164,8 @@ class TestRemezExactness:
 
     def test_near_best_interpolant_dominates(self):
         for f, m in [(np.exp, 8), (lambda x: 1.0 / (2 + x), 10)]:
-            p = cheb_interpolant(f, m)
+            # interpolant at the Chebyshev points of the first kind
+            p = ChebPoly(tuple(npcheb.chebinterpolate(f, m)))
             xs = np.linspace(-1, 1, 50001)
             interp_residual = float(np.max(np.abs(f(xs) - p(xs))))
             rep = weighted_remez(f, m, W0)
@@ -204,8 +195,7 @@ class TestWeightedRuns:
         assert rel_err(rv.error, rc.error) < 1e-6
 
     def test_nonconvergence_reported(self):
-        opts = RemezOptions(max_iter=1)
-        rep = weighted_remez(lambda x: (1 + x) ** 1.5, 40, W0, opts)
+        rep = weighted_remez(lambda x: (1 + x) ** 1.5, 40, W0, GridConfig(max_iter=1))
         assert not rep.converged
         assert rep.error > 0  # best-so-far, not a silent wrong answer
 
@@ -233,7 +223,7 @@ class TestPolish:
         # one polish round relocates the references but cannot level them: the
         # grid verdict must not survive a polished bracket wider than --tol
         monkeypatch.setattr(minimax, "POLISH_MAX_ITER", 1)
-        tol = RemezOptions().tol
+        tol = DEFAULT_GRID.rel_tol
         for src in ("(1+x)^1.5", "1/(2+x)", "exp(x)"):
             f = parse(src, 1)
             for w in (W0, JacobiWeight(0.5, 0.25)):
@@ -266,22 +256,23 @@ def test_stalled_start_converges(m, gamma, delta):
 
 
 class TestFavardRhs:
+    """||f^(r) phi^r u|| / m^r, the smoothness side of the Favard bound, as a
+    weighted sup norm of `derivative_fn`."""
+
+    @staticmethod
+    def rhs(src, r, m, w):
+        return weighted_sup_norm(derivative_fn(parse(src, 1), r), w, r).value / m**r
+
     def test_vanishing_high_derivative(self):
-        assert favard_rhs(parse("x^2-3*x", 1), 3, 5, W0) == 0.0
+        assert self.rhs("x^2-3*x", 3, 5, W0) == 0.0
 
     def test_exp_first_order(self):
-        got = favard_rhs(parse("exp(x)", 1), 1, 10, W0)
         oracle = dense_sup(np.exp, phi_eval) / 10.0
-        assert rel_err(got, oracle) < 1e-8
+        assert rel_err(self.rhs("exp(x)", 1, 10, W0), oracle) < 1e-8
 
     def test_homogeneity(self):
-        base = favard_rhs(parse("exp(x)", 1), 2, 12, WH)
-        scaled = favard_rhs(parse("-2.5*exp(x)", 1), 2, 12, WH)
-        assert rel_err(scaled, 2.5 * base) < 1e-12
-
-    def test_degree_guard(self):
-        with pytest.raises(ValueError):
-            favard_rhs(parse("exp(x)", 1), 3, 2, W0)
+        base = self.rhs("exp(x)", 2, 12, WH)
+        assert rel_err(self.rhs("-2.5*exp(x)", 2, 12, WH), 2.5 * base) < 1e-12
 
 
 class TestFavardBoundedness:

@@ -59,6 +59,15 @@ class TestWeightAndPhi:
         with pytest.raises(ValueError):
             JacobiWeight(-0.1, 0.0)
 
+    def test_exponents_below_1024_give_finite_weights(self):
+        xs = chebyshev_grid(257, 0.0, 0.0)
+        for g, d in ((1023.999, 0.0), (0.0, 1023.999), (1023.0, 1.0), (1000.0, 1000.0)):
+            assert np.all(np.isfinite(weight_eval(JacobiWeight(g, d), xs)))
+            assert math.isfinite(weight_eval(JacobiWeight(g, d), -1.0 + 1e-12))
+        for g, d in ((1024.0, 0.0), (0.0, 1e308)):
+            with pytest.raises(ValueError, match="below 1024"):
+                JacobiWeight(g, d)
+
     def test_power_matches_pointwise_power(self):
         rng = random.Random(2)
         for _ in range(50):
@@ -145,6 +154,20 @@ def _sup_refining_every_candidate(fn, w, p, grid):
             refined = best[2] or bool(v_ref > vals[i])
             best = (v_ref, x_ref, refined) if v_ref > best[0] else (*best[:2], refined)
     return best
+
+
+class TestSampling:
+    def test_constant_sampled_in_one_call(self):
+        calls = []
+        zero = derivative_fn(parse("x", 1), 2)  # a float whatever the input
+
+        def fn(x):
+            calls.append(x)
+            return zero(x)
+
+        vals = eval_samples(fn, chebyshev_grid(257, 0.0, 0.0))
+        assert len(calls) == 1
+        assert vals.shape == (257,) and not vals.any()
 
 
 class TestPlateau:
