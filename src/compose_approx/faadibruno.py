@@ -8,9 +8,10 @@ its oracle in the test suite.
 
 Each multivariate sum is compiled once per (order, dimension) into flat
 read-only arrays (one float coefficient, one f-partial index and the
-(row, column, exponent) power factors per term) and evaluated with numpy;
-the terms are still added in enumeration order with Kahan compensation, so
-results match a term-by-term loop bit for bit.
+(row, column, exponent) power factors per term) and evaluated with numpy.
+On a grid each term is formed as one row over a block of points and added
+in enumeration order with Kahan compensation, so results match a
+term-by-term loop bit for bit; a block's power table holds at most 2 MiB.
 
 Derivative data can be handed in directly as arrays or produced from
 expressions via `composite_jet`. Scalar entries may be replaced by numpy
@@ -66,9 +67,10 @@ def composite_derivative_1d(f_derivs: Sequence, g_derivs: Sequence, r: int) -> f
 # (r, n) within the caps of `jetn_partials` (r <= 10, n <= 6).
 _CACHE_SIZE = 64
 
-# The array evaluation works on blocks of points so that its power table and
-# its chunk of terms hold at most this many float64 entries each (256 KiB).
-_BLOCK_ENTRIES = 1 << 15
+# The array evaluation works on blocks of points so that its power table
+# holds at most this many float64 entries (2 MiB); besides it, it keeps only
+# five rows of one block each.
+_BLOCK_ENTRIES = 1 << 18
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,8 +81,8 @@ class Expansion:
     powers[k] for every k in factors[t], in the enumeration order of
     partition vectors and composition matrices. Row k of `powers` is
     (i, j, q) and stands for (g_j^(i))^q; row 0 is (0, 0, 0), the padding
-    factor 1 that fills `factors` out to a common width. The arrays are
-    read-only.
+    factor 1 that fills `factors` out to a common width; `slots[t]` is
+    factors[t] without it. The arrays are read-only.
     """
 
     partials: tuple[tuple[int, ...], ...]
@@ -88,6 +90,7 @@ class Expansion:
     coeffs: np.ndarray  # (T,) float64
     partial_of: np.ndarray  # (T,) int32
     factors: np.ndarray  # (T, S) int32, each row in row-major (i, j) order
+    slots: tuple[tuple[int, ...], ...]
 
 
 def _frozen(values, dtype) -> np.ndarray:
@@ -145,6 +148,7 @@ def compile_expansion(r: int, n: int) -> Expansion:
         coeffs=_frozen(coeffs, np.float64),
         partial_of=_frozen(partial_of, np.int32),
         factors=_frozen(padded, np.int32),
+        slots=tuple(map(tuple, factors)),
     )
 
 
@@ -204,12 +208,13 @@ def _evaluate_scalar(table: Expansion, f_vals, g_vals, powers) -> float:
 
 
 def _evaluate_array(table: Expansion, f_vals, g_vals, powers, shape) -> np.ndarray:
-    """The sum at every point, in blocks of points and chunks of terms.
+    """The sum at every point, term by term over blocks of points.
 
-    Per block: one power table (g_j^(i))^q, then per chunk a (terms, points)
-    matrix formed with one gather and multiply per factor slot, then Kahan
-    over its rows in term order. A scalar entry stays a scalar until it
-    fills a row, so every power is formed as a term-by-term loop forms it.
+    Per block: one power table (g_j^(i))^q, in which a q = 1 power is the
+    (read-only) entry g_j^(i) itself; then per term one row (f * c) * p1 * ...
+    multiplied in place in slot order and Kahan-added in term order. A
+    scalar entry stays a scalar until it meets a row, so every power and
+    product is formed as a term-by-term loop forms it.
     """
     size = math.prod(shape)
 
@@ -219,34 +224,26 @@ def _evaluate_array(table: Expansion, f_vals, g_vals, powers, shape) -> np.ndarr
         return (v if v.shape == shape else np.broadcast_to(v, shape)).reshape(-1)
 
     f_vals, g_vals = [flat(v) for v in f_vals], [flat(g) for g in g_vals]
-    n_terms, n_powers = len(table.coeffs), len(powers)
-    blocks = -(-size * n_powers // _BLOCK_ENTRIES)  # ceil: power tables in budget
+    blocks = -(-size * len(powers) // _BLOCK_ENTRIES)  # ceil: power table in budget
     width = -(-size // blocks)
-    chunk = max(1, _BLOCK_ENTRIES // width)
+    terms = list(zip(table.coeffs.tolist(), table.partial_of.tolist(), table.slots))
     out = np.empty(size)
     for lo in range(0, size, width):
         f_block, g_block = (
             [v[lo : lo + width] if _is_points(v) else v for v in vals]
             for vals in (f_vals, g_vals)
         )
-        m = min(width, size - lo)
-        pw = np.empty((n_powers, m))
-        pw[0] = 1.0
-        for k, (g, (_, _, q)) in enumerate(zip(g_block, powers[1:]), start=1):
-            pw[k] = g ** q
-        terms = np.empty((min(chunk, n_terms), m))
-        gathered = np.empty_like(terms)
-        total, comp = 0.0, 0.0
-        for c0 in range(0, n_terms, chunk):
-            rows, gat = terms[: n_terms - c0], gathered[: n_terms - c0]
-            for row, p in zip(rows, table.partial_of[c0 : c0 + chunk].tolist()):
-                row[:] = f_block[p]
-            rows *= table.coeffs[c0 : c0 + chunk, None]
-            for slot in table.factors[c0 : c0 + chunk].T:
-                np.take(pw, slot, axis=0, out=gat, mode="clip")
-                rows *= gat
-            for row in rows:
-                total, comp = _kahan_add(total, comp, row)
+        pw = [1.0] + [g if q == 1 else g ** q for g, (_, _, q) in zip(g_block, powers[1:])]
+        row, y, t, total, comp = np.zeros((5, min(width, size - lo)))
+        for c, p, slots in terms:
+            np.multiply(f_block[p], c, out=row)
+            for k in slots:
+                row *= pw[k]
+            np.subtract(row, comp, out=y)
+            np.add(total, y, out=t)
+            np.subtract(t, total, out=comp)
+            comp -= y
+            total, t = t, total
         out[lo : lo + width] = total
     return out.reshape(shape)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -132,11 +133,15 @@ class NormReport:
     refined: bool
 
 
+@lru_cache(maxsize=8)
 def chebyshev_grid(n: int, left_margin: float, right_margin: float) -> np.ndarray:
     """n ascending Chebyshev-Lobatto points on [-1, 1] with the two ends
-    pulled inward by the margins (a zero margin keeps the end at +-1)."""
+    pulled inward by the margins (a zero margin keeps the end at +-1).
+
+    Each grid is built once and shared, so the array is read-only."""
     xs = -np.cos(math.pi * np.arange(n) / (n - 1))
     xs[0], xs[-1] = -1.0 + left_margin, 1.0 - right_margin
+    xs.flags.writeable = False
     return xs
 
 

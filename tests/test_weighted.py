@@ -157,6 +157,14 @@ def _sup_refining_every_candidate(fn, w, p, grid):
 
 
 class TestSampling:
+    def test_grid_is_built_once_and_read_only(self):
+        xs = chebyshev_grid(4097, ENDPOINT_MARGIN, ENDPOINT_MARGIN)
+        assert chebyshev_grid(4097, ENDPOINT_MARGIN, ENDPOINT_MARGIN) is xs
+        assert chebyshev_grid(4097, 0.0, 0.0) is not xs
+        assert not xs.flags.writeable
+        with pytest.raises(ValueError):
+            xs[1] = 0.0
+
     def test_constant_sampled_in_one_call(self):
         calls = []
         zero = derivative_fn(parse("x", 1), 2)  # a float whatever the input
