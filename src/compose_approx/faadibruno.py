@@ -225,7 +225,7 @@ def _evaluate_array(table: Expansion, f_vals, g_vals, powers, shape) -> np.ndarr
 
     f_vals, g_vals = [flat(v) for v in f_vals], [flat(g) for g in g_vals]
     blocks = -(-size * len(powers) // _BLOCK_ENTRIES)  # ceil: power table in budget
-    width = -(-size // blocks)
+    width = -(-size // blocks) if size else 1  # an empty grid has no block
     terms = list(zip(table.coeffs.tolist(), table.partial_of.tolist(), table.slots))
     out = np.empty(size)
     for lo in range(0, size, width):

@@ -9,14 +9,14 @@ grid by one DCT-I. The levelled |h| is a lower bound for the minimax error and
 the residual maximum an upper bound, so the pair brackets the answer at every
 iteration.
 
-Given a callable, the converged grid solution is polished off-grid: the
-references are re-located by parabolic/golden search on the continuous
-weighted residual, the m+2 searches stepping together with f and u evaluated
-on arrays (numpy's pow/cos may differ from scalar libm by an ulp), and the
-alternation system is re-solved until the equioscillation levels; the solve
-is converged only when its printed bracket is. With precomputed samples only,
-the final extrema are sharpened through the three neighbouring samples (a
-parabola vertex), accurate to O(spacing^3) without new evaluations.
+Given a callable, the converged grid solution is polished off-grid: the m+2
+references are re-located together by parabolic/golden search on the
+continuous weighted residual, f and u evaluated on arrays (numpy's pow/cos
+may differ from scalar libm by an ulp), and the system is re-solved until
+the equioscillation levels; the solve is converged only when its printed
+bracket is. The alternation matrix and the polish residual take T_0..T_m
+from `_cheb_basis`; `ChebPoly` and the grid's two ends stay Clenshaw. With
+samples only, the extrema are sharpened by a parabola vertex, O(spacing^3).
 """
 
 from __future__ import annotations
@@ -107,13 +107,28 @@ def _cheb_on_grid(xs: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     return out
 
 
+def _cheb_basis(x: np.ndarray, m: int) -> np.ndarray:
+    """T_0..T_m at every x as one (len(x), m+1) array, in ceil(log2 m) slice
+    steps: rows K+1..min(2K, m) come from T_(K+j) = 2 T_K T_j - T_(K-j).
+    Rounding compounds over the steps: column k is good to about 0.2 k^2 eps."""
+    T = np.empty((m + 1, len(x)))  # one row per degree, so each step is contiguous
+    T[0], T[1:2] = 1.0, x  # at m = 0 there is no row for T_1 = x
+    k = 1
+    while k < m:
+        n = min(k, m - k)
+        np.multiply(T[1 : n + 1], 2.0 * T[k], out=T[k + 1 : k + n + 1])
+        T[k + 1 : k + n + 1] -= T[k - n : k][::-1]
+        k += n
+    return T.T
+
+
 def _alternation_solve(
     x_ref: np.ndarray, fu_ref: np.ndarray, u_ref: np.ndarray, m: int
 ) -> tuple[np.ndarray, float]:
     """Solve (f(x_i) - P(x_i)) u(x_i) = (-1)^i h for P's coefficients and h."""
     k = len(x_ref)
     A = np.empty((k, m + 2))
-    A[:, : m + 1] = npcheb.chebvander(x_ref, m) * u_ref[:, None]
+    A[:, : m + 1] = _cheb_basis(x_ref, m) * u_ref[:, None]
     A[:, m + 1] = (-1.0) ** np.arange(k)
     try:
         sol = np.linalg.solve(A, fu_ref)
@@ -293,7 +308,7 @@ def _polish(
 
         def residual(x: np.ndarray, i: np.ndarray) -> np.ndarray:
             fx = eval_samples(f, x)
-            return sigma[i] * ((fx - npcheb.chebval(x, coeffs)) * weight_eval(w, x))
+            return sigma[i] * ((fx - _cheb_basis(x, m) @ coeffs) * weight_eval(w, x))
 
         mids = 0.5 * (refs[:-1] + refs[1:])
         brackets = list(zip(np.append(lo, mids), refs, np.append(mids, hi)))

@@ -106,6 +106,13 @@ class TestCompositeJet:
         got = composite_jet(parse("exp(y1)", 1, ["y1"]), [parse("sin(x)", 1)], 0.0, 3)
         assert np.allclose(got, [1.0, 1.0, 1.0, 0.0], atol=1e-14)
 
+    @pytest.mark.parametrize("shape", [(0,), (0, 2)])
+    def test_empty_grid(self, shape):
+        f = parse("exp(y1)*y2", 2, ["y1", "y2"])
+        got = composite_jet(f, [parse("sin(x)", 1), parse("cos(x)", 1)], np.empty(shape), 3)
+        assert len(got) == 4
+        assert all(d.shape == shape for d in got)
+
     def test_against_jet_oracle_random_pairs(self):
         # formula path (partition/composition enumeration) vs jet composition
         rng = random.Random(42)
